@@ -15,8 +15,9 @@ File schemas (UTF-8, RFC-4180 quoting):
   (rejected ballots) and ``__none__`` (ballots counted as no stance).
 - daily totals:   header ``date,total`` with ``YYYY-MM-DD`` dates.
 - tweet stream:   one JSON object per line: ``id`` (str), ``ts`` (ISO-8601
-  with offset; normalized to UTC), ``user`` (str), ``hashtags`` (list of
-  strings, no '#').
+  with offset; normalized to UTC), ``user`` (str), ``hashtags`` (a JSON
+  array of strings; a leading '#' is dropped).  Any other ``hashtags``
+  value makes the line malformed.
 - stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``.
 - quadrant topics: header ``topic,stance,count,importance``.
 """
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -57,7 +59,11 @@ TurnoutMode = str  # "ballots-only" | "eligible-population"
 
 def normalize_hashtag(tag: str) -> str:
     """Canonical hashtag form: NFC-normalized, case-folded, no leading '#'."""
-    return unicodedata.normalize("NFC", tag.lstrip("#")).casefold()
+    tag = tag.lstrip("#")
+    if tag.isascii():
+        # NFC leaves ASCII text unchanged, and casefold() equals lower() on it
+        return tag.lower()
+    return unicodedata.normalize("NFC", tag).casefold()
 
 
 # -- stance lexicons and tweets ------------------------------------------------
@@ -75,6 +81,7 @@ class StanceLexicon:
 
     topic: str
     stances: tuple[LexiconStance, ...]
+    _index: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: dict[str, str] = {}
@@ -85,6 +92,7 @@ class StanceLexicon:
                         f"hashtag #{tag} appears under both {seen[tag]!r} and {stance.id!r}"
                     )
                 seen[tag] = stance.id
+        object.__setattr__(self, "_index", MappingProxyType(seen))
 
     @classmethod
     def from_json(cls, path: str | Path) -> StanceLexicon:
@@ -116,8 +124,9 @@ class StanceLexicon:
             [s.id for s in self.stances], {s.id: s.label for s in self.stances}
         )
 
-    def tag_index(self) -> dict[str, str]:
-        return {tag: s.id for s in self.stances for tag in s.hashtags}
+    def tag_index(self) -> Mapping[str, str]:
+        """Read-only map from normalized hashtag to stance id."""
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -131,19 +140,20 @@ class TweetRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> TweetRecord:
-        try:
-            raw_tags = obj["hashtags"]
-            record = cls(
-                id=str(obj["id"]),
-                ts=parse_utc_timestamp(str(obj["ts"])),
-                user=str(obj["user"]),
-                hashtags=tuple(normalize_hashtag(str(t)) for t in raw_tags),
-            )
-        except UnparseableTimestamp:
-            raise
-        except (KeyError, TypeError) as exc:
-            raise MalformedRow(f"tweet record missing field: {exc}") from exc
-        return record
+        return cls(*_tweet_fields(obj))
+
+
+def _tweet_fields(obj: Mapping) -> tuple[str, datetime, str, tuple[str, ...]]:
+    """Checked ``(id, UTC instant, user, normalized hashtags)`` of one decoded
+    tweet; raises MalformedRow or UnparseableTimestamp."""
+    try:
+        raw_tags = obj["hashtags"]
+        id_, ts, user = str(obj["id"]), parse_utc_timestamp(str(obj["ts"])), str(obj["user"])
+    except (KeyError, TypeError) as exc:
+        raise MalformedRow(f"tweet record missing field: {exc}") from exc
+    if not isinstance(raw_tags, list):
+        raise MalformedRow(f"hashtags must be a JSON array, got {type(raw_tags).__name__}")
+    return id_, ts, user, tuple([normalize_hashtag(str(t)) for t in raw_tags])
 
 
 def parse_utc_timestamp(text: str) -> datetime:
@@ -174,12 +184,27 @@ def tag_tweet_stance(
     "error"`` raises instead, for pipelines that want to audit them).
     """
     index = lexicon.tag_index()
-    matched = {index[t] for t in tweet.hashtags if t in index}
-    if len(matched) == 1:
-        return next(iter(matched))
-    if len(matched) > 1 and ambiguous == "error":
-        raise AmbiguousStance(f"tweet {tweet.id} matches stances {sorted(matched)}")
+    stance = _stance_for(tweet.hashtags, index)
+    if stance is not None:
+        return stance
+    if ambiguous == "error":
+        matched = sorted({index[t] for t in tweet.hashtags if t in index})
+        if len(matched) > 1:
+            raise AmbiguousStance(f"tweet {tweet.id} matches stances {matched}")
     return NO_STANCE
+
+
+def _stance_for(hashtags: Iterable[str], index: Mapping[str, str]) -> str | None:
+    """The tagging rule: the stance id when the hashtags match exactly one
+    stance's list; None when they match none, or more than one."""
+    found = None
+    for tag in hashtags:
+        sid = index.get(tag)
+        if sid is not None and sid != found:
+            if found is not None:
+                return None
+            found = sid
+    return found
 
 
 @dataclass
@@ -199,25 +224,35 @@ class StreamStats:
             self.tagged[sid] = self.tagged.get(sid, 0) + n
 
 
-def iter_tweet_stream(path: str | Path, stats: StreamStats) -> Iterator[TweetRecord]:
-    """Yield TweetRecords from a JSONL shard, counting bad lines in ``stats``.
+def iter_tweet_stream(
+    path: str | Path, stats: StreamStats
+) -> Iterator[tuple[date, str, tuple[str, ...]]]:
+    """Yield ``(utc_day, user, normalized_hashtags)`` for each good line of a
+    JSONL shard, counting lines and bad lines in ``stats``.
 
-    Unparseable lines are skipped, not fatal; the caller decides whether
-    the accumulated error ratio still fits its budget.
+    A good line holds one JSON object and nothing else but JSON whitespace,
+    exactly what ``json.loads`` accepts, with the fields that
+    ``TweetRecord.from_json_obj`` requires.  Blank lines are skipped
+    uncounted.  Bad lines are skipped, not fatal; the caller decides
+    whether the accumulated error ratio still fits its budget.
     """
+    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            if not line.strip():
+            text = line.strip(" \t\n\r")
+            if not text or text.isspace():
                 continue
             stats.lines += 1
             try:
-                obj = json.loads(line)
-                record = TweetRecord.from_json_obj(obj)
+                obj, end = decode(text)
+                if end != len(text):
+                    raise MalformedRow("trailing data after the JSON value")
+                _, ts, user, hashtags = _tweet_fields(obj)
             except (json.JSONDecodeError, MalformedRow, UnparseableTimestamp):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
-            yield record
+            yield ts.date(), user, hashtags
 
 
 # -- daily series ---------------------------------------------------------------
@@ -554,30 +589,26 @@ class _DayAccumulator:
         self.mode = mode
         self.index = lexicon.tag_index()
         self.stance_ids = [s.id for s in lexicon.stances]
-        self.day_counts: dict[date, dict[str, int]] = {}
+        # tweets per day and stance id, None counting the untagged; every
+        # day seen is a key, in both modes
+        self.day_counts: dict[date, dict[str | None, int]] = {}
         self.day_users: dict[date, dict[str, set[str]]] = {}
         self.user_stances: dict[str, set[str]] = {}
         self.stats = StreamStats()
 
-    def add(self, record: TweetRecord) -> None:
-        matched = {self.index[t] for t in record.hashtags if t in self.index}
-        stance = next(iter(matched)) if len(matched) == 1 else None
-        day = record.ts.date()
-        if self.mode == "tweet":
-            bucket = self.day_counts.setdefault(day, {})
-            if stance is not None:
-                bucket[stance] = bucket.get(stance, 0) + 1
-            else:
-                bucket.setdefault("", 0)  # remember the day exists
-        else:
-            bucket_users = self.day_users.setdefault(day, {})
-            if stance is not None:
-                bucket_users.setdefault(stance, set()).add(record.user)
-                self.user_stances.setdefault(record.user, set()).add(stance)
-            else:
-                bucket_users.setdefault("", set())
-        if stance is not None:
-            self.stats.tagged[stance] = self.stats.tagged.get(stance, 0) + 1
+    def add(self, day: date, user: str, hashtags: Iterable[str]) -> None:
+        stance = _stance_for(hashtags, self.index)
+        bucket = self.day_counts.get(day)
+        if bucket is None:
+            bucket = self.day_counts[day] = {}
+        bucket[stance] = bucket.get(stance, 0) + 1
+        if stance is None:
+            return
+        tagged = self.stats.tagged
+        tagged[stance] = tagged.get(stance, 0) + 1
+        if self.mode == "user":
+            self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
+            self.user_stances.setdefault(user, set()).add(stance)
 
     def merge(self, other: _DayAccumulator) -> None:
         for day, counts in other.day_counts.items():
@@ -607,7 +638,7 @@ class _DayAccumulator:
 
     def finish(self, totals: Mapping[date, int] | None) -> DailySeries:
         space = self.lexicon.space()
-        seen_days = set(self.day_counts) | set(self.day_users)
+        seen_days = set(self.day_counts)
         if totals:
             seen_days |= set(totals)
         days = []
@@ -645,7 +676,7 @@ def build_daily_counts(
     """
     acc = _DayAccumulator(lexicon, mode)
     for record in records:
-        acc.add(record)
+        acc.add(record.ts.date(), record.user, record.hashtags)
     return acc.finish(totals)
 
 
@@ -668,8 +699,9 @@ def ingest_tweets(
 
     def consume(path: str | Path) -> _DayAccumulator:
         acc = _DayAccumulator(lexicon, mode)
-        for record in iter_tweet_stream(path, acc.stats):
-            acc.add(record)
+        add = acc.add
+        for day, user, hashtags in iter_tweet_stream(path, acc.stats):
+            add(day, user, hashtags)
         return acc
 
     if threads > 1 and len(paths) > 1:
@@ -678,9 +710,10 @@ def ingest_tweets(
     else:
         partials = [consume(p) for p in paths]
 
-    merged = partials[0]
-    for part in partials[1:]:
-        merged.merge(part)
+    merged = _DayAccumulator(lexicon, mode)
+    while partials:
+        # release each partial once merged, which bounds peak memory
+        merged.merge(partials.pop())
     stats = merged.stats
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
         raise ErrorBudgetExceeded(

@@ -237,6 +237,13 @@ class TestLexiconAndTagging:
         record = tweet("6", "2015-02-26T12:00:00Z", "u1", ["whiteandgold"])
         assert len({tag_tweet_stance(record, dress_lexicon) for _ in range(20)}) == 1
 
+    def test_tag_index_is_built_once_and_read_only(self, dress_lexicon):
+        index = dress_lexicon.tag_index()
+        assert index is dress_lexicon.tag_index()
+        assert index["negroyazul"] == "black-and-blue"
+        with pytest.raises(TypeError):
+            index["negroyazul"] = "white-and-gold"
+
 
 class TestTimestamps:
     def test_z_suffix(self):
@@ -380,6 +387,32 @@ class TestTweetStream:
         sharded, _ = ingest_tweets([shard_a, shard_b], dress_lexicon, threads=2)
         flipped, _ = ingest_tweets([shard_b, shard_a], dress_lexicon, threads=3)
         assert single == sharded == flipped
+
+    def test_non_list_hashtags_count_against_budget(self, tmp_path, dress_lexicon):
+        # a string must not be read one character at a time, nor an object by its keys
+        odd = [{"id": "s", "ts": "2015-02-26T10:00:00Z", "user": "s", "hashtags": "whiteandgold"},
+               {"id": "o", "ts": "2015-02-26T10:00:00Z", "user": "o",
+                "hashtags": {"blackandblue": 1}}]
+        for obj in odd:
+            with pytest.raises(MalformedRow):
+                TweetRecord.from_json_obj(obj)
+        lines = [self.good_line(i) for i in range(8)] + [json.dumps(obj) for obj in odd]
+        path = self.make_stream(tmp_path, lines)
+        series, stats = ingest_tweets([path], dress_lexicon, error_budget=0.5)
+        assert (stats.lines, stats.parsed, stats.parse_errors) == (10, 8, 2)
+        assert stats.tagged == {"white-and-gold": 8}
+        assert series.days[0].counts.explicit == (8, 0)
+        with pytest.raises(ErrorBudgetExceeded):
+            ingest_tweets([path], dress_lexicon, error_budget=0.1)
+
+    @pytest.mark.parametrize("mode", ["tweet", "user"])
+    def test_no_shards(self, dress_lexicon, mode):
+        series, stats = ingest_tweets([], dress_lexicon, mode=mode)
+        assert series.days == () and stats == StreamStats()
+        totals = {date(2015, 2, 26): 5}
+        series, _ = ingest_tweets([], dress_lexicon, totals, mode=mode)
+        [day] = series.days
+        assert day.has_total and day.counts.counts == (5, 0, 0)
 
 
 class TestSmallLoaders:

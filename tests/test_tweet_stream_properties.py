@@ -1,0 +1,163 @@
+"""Tweet ingest against the per-record reference path, on generated shards.
+
+The reference decodes each line with ``json.loads``, builds a
+``TweetRecord`` with ``TweetRecord.from_json_obj``, tags it with
+``tag_tweet_stance`` and counts days with ``build_daily_counts``.
+``ingest_tweets`` must agree with it on every series, every stream
+counter and every error, whatever the shard split, mode and thread count.
+"""
+
+import json
+import tempfile
+import unicodedata
+from datetime import date, datetime, timedelta
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contention.errors import (
+    ContentionError,
+    ErrorBudgetExceeded,
+    MalformedRow,
+    UnparseableTimestamp,
+)
+from contention.ingest import (
+    LexiconStance,
+    StanceLexicon,
+    StreamStats,
+    TweetRecord,
+    build_daily_counts,
+    ingest_tweets,
+    normalize_hashtag,
+    tag_tweet_stance,
+)
+from contention.model import NO_STANCE
+
+LEXICON = StanceLexicon(
+    "referendum",
+    (
+        LexiconStance("leave", "Leave", frozenset(map(normalize_hashtag, ["voteleave", "Straße"]))),
+        LexiconStance("remain", "Remain", frozenset(map(normalize_hashtag, ["strongerin", "café"]))),
+        LexiconStance("undecided", "Undecided", frozenset(map(normalize_hashtag, ["ΣΊΣΥΦΟΣ"]))),
+    ),
+)
+
+# Spellings that normalize onto a lexicon tag (case, '#', sharp s, combining
+# accents, final sigma) next to ones that do not.
+TAG_SPELLINGS = [
+    "voteleave", "VoteLeave", "#voteleave", "##VOTELEAVE", "straße", "STRASSE", "#Strasse",
+    "strongerin", "#StrongerIn", "café", "cafe\u0301", "CAFE\u0301", "#Café", "cafe",
+    "σίσυφος", "ΣΊΣΥΦΟΣ", "nofilter", "#", "", "ß",
+]
+DAYS = [date(2016, 6, 21) + timedelta(days=i) for i in range(3)]
+
+
+def reference_ingest(paths, lexicon, totals, mode, error_budget):
+    """The per-record path: every line becomes a TweetRecord first."""
+    stats = StreamStats()
+    records = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                if not line.strip():
+                    continue
+                stats.lines += 1
+                try:
+                    record = TweetRecord.from_json_obj(json.loads(line))
+                except (json.JSONDecodeError, MalformedRow, UnparseableTimestamp):
+                    stats.parse_errors += 1
+                    continue
+                stats.parsed += 1
+                records.append(record)
+                stance = tag_tweet_stance(record, lexicon)
+                if stance != NO_STANCE:
+                    stats.tagged[stance] = stats.tagged.get(stance, 0) + 1
+    if stats.lines and stats.parse_errors / stats.lines > error_budget:
+        raise ErrorBudgetExceeded("over budget")
+    return build_daily_counts(records, lexicon, totals, mode=mode), stats
+
+
+def outcome(run):
+    """The result of ``run()``, or the type of the package error it raised."""
+    try:
+        return run()
+    except ContentionError as exc:
+        return type(exc)
+
+
+@st.composite
+def timestamps(draw):
+    instant = datetime(2016, 6, 20) + timedelta(seconds=draw(st.integers(0, 5 * 86400)))
+    text = instant.isoformat()
+    form = draw(st.sampled_from(["Z", "z", "naive", "offset", "garbage"]))
+    if form == "offset":
+        minutes = draw(st.integers(-14 * 60 + 1, 14 * 60 - 1))
+        sign = "-" if minutes < 0 else "+"
+        text += f"{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+    elif form == "garbage":
+        text = draw(st.sampled_from(["yesterday", "", "2016-13-40T00:00:00Z", text + "+25:00"]))
+    elif form != "naive":
+        text += form
+    return draw(st.sampled_from(["", " "])) + text
+
+
+hashtags = st.lists(st.sampled_from(TAG_SPELLINGS) | st.text(max_size=6), max_size=4)
+users = st.sampled_from(["ann", "bob", "cy", "dee"]) | st.text(max_size=3)
+
+
+@st.composite
+def tweet_objects(draw):
+    obj = {
+        "id": draw(st.text(max_size=3) | st.integers()),
+        "ts": draw(timestamps()),
+        "user": draw(users),
+        "hashtags": draw(hashtags | st.sampled_from(["voteleave", {"voteleave": 1}, 5, None])),
+    }
+    for key in draw(st.lists(st.sampled_from(list(obj)), max_size=1)):
+        del obj[key]
+    return obj
+
+
+@st.composite
+def lines(draw):
+    kind = draw(st.sampled_from(["tweet"] * 6 + ["blank", "odd"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t", "\x0c", "\u2003", " \x0c "]))
+    if kind == "odd":
+        return draw(st.sampled_from(["{broken", "[]", "5", "null", '"tweet"', "{}"]))
+    text = json.dumps(draw(tweet_objects()), ensure_ascii=draw(st.booleans()))
+    before = draw(st.sampled_from(["", " ", "\t", "\ufeff", "\x0c"]))
+    after = draw(st.sampled_from(["", " ", "\t ", " x", "{}", "\x0c", "\u2003"]))
+    return before + text + after
+
+
+shard_sets = st.lists(st.lists(lines(), max_size=12), min_size=1, max_size=4)
+totals_maps = st.none() | st.dictionaries(st.sampled_from(DAYS), st.integers(0, 40))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    shards=shard_sets,
+    mode=st.sampled_from(["tweet", "user"]),
+    threads=st.integers(1, 3),
+    totals=totals_maps,
+    newline=st.sampled_from(["\n", "\r\n"]),
+    error_budget=st.sampled_from([0.0, 0.2, 1.0]),
+)
+def test_ingest_matches_reference_path(shards, mode, threads, totals, newline, error_budget):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, shard in enumerate(shards):
+            path = Path(tmp) / f"shard{i}.jsonl"
+            path.write_text("".join(line + newline for line in shard), encoding="utf-8", newline="")
+            paths.append(path)
+        expected = outcome(lambda: reference_ingest(paths, LEXICON, totals, mode, error_budget))
+        got = outcome(lambda: ingest_tweets(paths, LEXICON, totals, mode=mode,
+                                            threads=threads, error_budget=error_budget))
+    assert got == expected
+
+
+@given(st.text())
+def test_normalize_hashtag_matches_its_definition(tag):
+    assert normalize_hashtag(tag) == unicodedata.normalize("NFC", tag.lstrip("#")).casefold()
