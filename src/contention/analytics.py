@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
-from .errors import (
-    ContentionError,
-    EligibleLessThanVotes,
-    ImportanceOutOfDeclaredRange,
-    MissingImportance,
-)
-from .ingest import ALL_REGIONS, DailySeries, RegionRow, RegionTable
+from .errors import ContentionError, ImportanceOutOfDeclaredRange, MissingImportance
+from .ingest import ALL_REGIONS, DailySeries, RegionTable, all_regions_row
+from .ingest import turnout_adjust  # noqa: F401 - the turnout rule, re-exported here
 from .model import ContentionResult, KMode, StanceCounts, contention_exclusive
 
 
@@ -68,23 +64,11 @@ def region_contention(
     """Contention per region plus the ``__all__`` aggregate, sorted by id."""
     rows = list(table.rows)
     if all(r.region != ALL_REGIONS for r in rows):
-        aggregate = rows[0].counts
-        for r in rows[1:]:
-            aggregate = aggregate + r.counts
-        rows.append(RegionRow(ALL_REGIONS, aggregate))
+        rows.append(all_regions_row(rows))
     return [
         (r.region, contention_exclusive(r.counts, k_mode=k_mode))
         for r in sorted(rows, key=lambda r: r.region)
     ]
-
-
-def turnout_adjust(counts: StanceCounts, eligible: int) -> StanceCounts:
-    """Recast the no-stance group as everyone eligible who cast no valid vote."""
-    if eligible < counts.total:
-        raise EligibleLessThanVotes(
-            f"eligible {eligible} < population {counts.total} already counted"
-        )
-    return counts.with_no_stance(eligible - sum(counts.explicit))
 
 
 @dataclass(frozen=True)

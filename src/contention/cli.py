@@ -184,23 +184,60 @@ def _load_config(path: str) -> dict[str, Any]:
     return cfg
 
 
+# each numeric value goes through the parser its flag uses, so a config file
+# cannot carry a value the flag would reject
+_NUMBERS: dict[str, Callable[[str], Any]] = {
+    "precision": int,
+    "threads": int,
+    "samples": int,
+    "seed": int,
+    "error_budget": float,
+}
+
+
 def _effective(args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
+    """Defaults, overridden by the config file, overridden by explicit flags;
+    every value is checked and coerced here, once."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(_load_config(args.config))
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
-    if int(merged["precision"]) < 0:
+    for key, parse in _NUMBERS.items():
+        merged[key] = _coerce(key, merged[key], parse)
+    if merged["importance_scale"] is not None:
+        scale = merged["importance_scale"]
+        if not isinstance(scale, (list, tuple)) or len(scale) != 2:
+            raise _UsageError(f"importance_scale: want two numbers LO HI, got {scale!r}")
+        lo, hi = (_coerce("importance_scale", v, float) for v in scale)
+        if not lo < hi:
+            raise _UsageError(f"--importance-scale must satisfy LO < HI, got {lo} {hi}")
+        merged["importance_scale"] = (lo, hi)
+    if merged["precision"] < 0:
         raise _UsageError("--precision must be >= 0")
-    if int(merged["threads"]) < 1:
+    if merged["threads"] < 1:
         raise _UsageError("--threads must be >= 1")
+    if merged["samples"] is not None and merged["samples"] < 1:
+        raise _UsageError("--samples must be >= 1")
+    if merged["seed"] < 0:
+        raise _UsageError("--seed must be >= 0")
     if merged["normalize"] not in ("declared", "observed"):
         raise _UsageError(f"--normalize must be 'declared' or 'observed', got {merged['normalize']!r}")
     if merged["turnout"] not in ("ballots", "eligible"):
         raise _UsageError(f"--turnout must be 'ballots' or 'eligible', got {merged['turnout']!r}")
     return merged
+
+
+def _coerce(key: str, value: Any, parse: Callable[[str], Any]) -> Any:
+    """``value`` read the way its flag reads text; None only where the
+    default is None."""
+    if value is None and _DEFAULTS[key] is None:
+        return None
+    try:
+        return parse(str(value))
+    except ValueError:
+        raise _UsageError(f"{key}: invalid {parse.__name__} value {value!r}") from None
 
 
 # -- output -----------------------------------------------------------------------
@@ -214,7 +251,7 @@ def _fmt(value: Any, precision: int) -> str:
 
 
 def _write_records(records: list[dict[str, Any]], cfg: Mapping[str, Any]) -> None:
-    precision = int(cfg["precision"])
+    precision = cfg["precision"]
 
     def emit(handle: TextIO) -> None:
         if cfg["json"]:
@@ -243,10 +280,8 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _score(counts, cfg: Mapping[str, Any]):
-    if cfg.get("samples"):
-        return sampled_from_counts(
-            counts, int(cfg["samples"]), int(cfg["seed"]), k_mode=cfg["normalize"]
-        )
+    if cfg["samples"] is not None:
+        return sampled_from_counts(counts, cfg["samples"], cfg["seed"], k_mode=cfg["normalize"])
     return contention_exclusive(counts, k_mode=cfg["normalize"])
 
 
@@ -272,7 +307,7 @@ def cmd_votes(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     mode = {"ballots": "ballots-only", "eligible": "eligible-population"}[cfg["turnout"]]
     table = ingest.load_vote_records(args.input, mode)
-    if cfg.get("samples"):
+    if cfg["samples"] is not None:
         scored = [
             (row.region, _score(row.counts, cfg))
             for row in sorted(table.rows, key=lambda r: r.region)
@@ -304,8 +339,8 @@ def cmd_tweets(args: argparse.Namespace) -> int:
         lexicon,
         totals,
         mode="user" if cfg["by_user"] else "tweet",
-        threads=int(cfg["threads"]),
-        error_budget=float(cfg["error_budget"]),
+        threads=cfg["threads"],
+        error_budget=cfg["error_budget"],
     )
     if not series.days:
         raise EmptyInput("no parseable tweets and no daily totals")
@@ -340,9 +375,8 @@ def cmd_quadrant(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     if not cfg["importance_scale"]:
         raise _UsageError("quadrant requires --importance-scale LO HI")
-    scale = [float(v) for v in cfg["importance_scale"]]
     rows = ingest.load_quadrant_topics(args.input)
-    points, _ = analytics.quadrant_points(rows, scale, k_mode=cfg["normalize"])
+    points, _ = analytics.quadrant_points(rows, cfg["importance_scale"], k_mode=cfg["normalize"])
     records = [
         {"topic": p.topic, "contention": p.contention, "importance": p.importance}
         for p in points
@@ -369,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         parser.error(str(exc))
         return EX_USAGE  # unreachable; parser.error exits
-    except (ContentionError, OSError) as exc:
+    except (ContentionError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return EX_DATA
 

@@ -33,7 +33,7 @@ class NegativeCount(ContentionError):
     """Counts must be non-negative."""
 
 
-class DuplicateStanceRow(ContentionError):
+class DuplicateStanceRow(MalformedRow):
     """The same (topic, stance) or (region, option) appears twice."""
 
 

@@ -20,6 +20,10 @@ File schemas (UTF-8, RFC-4180 quoting):
   value makes the line malformed.
 - stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``.
 - quadrant topics: header ``topic,stance,count,importance``.
+
+Poll, vote and quadrant rows are grouped by topic (region) and stance
+(option); a row with a missing field, an empty key or stance, or a repeated
+(key, stance) pair is malformed.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from datetime import date, datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     AmbiguousStance,
@@ -54,7 +58,7 @@ ELIGIBLE = "__eligible__"
 REJECTED = "__rejected__"
 ALL_REGIONS = "__all__"
 
-TurnoutMode = str  # "ballots-only" | "eligible-population"
+V = TypeVar("V")
 
 
 def normalize_hashtag(tag: str) -> str:
@@ -167,7 +171,10 @@ def parse_utc_timestamp(text: str) -> datetime:
         raise UnparseableTimestamp(f"bad timestamp {text!r}") from exc
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise UnparseableTimestamp(f"timestamp {text!r} falls outside the UTC range") from exc
 
 
 def tag_tweet_stance(
@@ -248,7 +255,9 @@ def iter_tweet_stream(
                 if end != len(text):
                     raise MalformedRow("trailing data after the JSON value")
                 _, ts, user, hashtags = _tweet_fields(obj)
-            except (json.JSONDecodeError, MalformedRow, UnparseableTimestamp):
+            # ValueError covers JSONDecodeError and integers past the
+            # interpreter's digit limit
+            except (ValueError, MalformedRow, UnparseableTimestamp):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
@@ -278,56 +287,16 @@ class DailySeries:
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValueError("days must be strictly increasing by date")
 
-    def write_csv(self, path: str | Path) -> None:
-        """Serialize as ``date,stance,count`` rows; the ``__none__`` row is
-        written only for days whose sample total is known."""
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["date", "stance", "count"])
-            for day in self.days:
-                for sid, count in zip(day.counts.space.all_ids, day.counts.counts):
-                    if sid == NO_STANCE and not day.has_total:
-                        continue
-                    writer.writerow([day.date.isoformat(), sid, count])
-
-    @classmethod
-    def read_csv(cls, topic: str, path: str | Path) -> DailySeries:
-        rows = _read_csv_rows(path, ("date", "stance", "count"))
-        by_day: dict[date, dict[str, int]] = {}
-        order: list[str] = []
-        for row in rows:
-            day = _parse_date(row["date"])
-            count = _parse_count(row["count"], row)
-            stances = by_day.setdefault(day, {})
-            if row["stance"] in stances:
-                raise DuplicateStanceRow(f"{row['date']}/{row['stance']} appears twice")
-            stances[row["stance"]] = count
-            if row["stance"] != NO_STANCE and row["stance"] not in order:
-                order.append(row["stance"])
-        space = StanceSpace.exclusive(order)
-        days = []
-        for day in sorted(by_day):
-            stances = by_day[day]
-            has_total = NO_STANCE in stances
-            counts = StanceCounts.from_mapping(
-                space,
-                {sid: c for sid, c in stances.items() if sid != NO_STANCE},
-                no_stance=stances.get(NO_STANCE, 0),
-            )
-            days.append(DaySlice(day, counts, has_total))
-        return cls(topic, tuple(days))
-
 
 # -- region tables ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RegionRow:
-    """One region's counts, with optional eligible population and importance."""
+    """One region's counts, with an optional eligible population."""
 
     region: str
     counts: StanceCounts
     eligible: int | None = None
-    importance: float | None = None
 
     def __post_init__(self) -> None:
         if self.eligible is not None and self.eligible < sum(self.counts.explicit):
@@ -354,9 +323,30 @@ class RegionTable:
         raise KeyError(region)
 
 
+def all_regions_row(rows: Sequence[RegionRow]) -> RegionRow:
+    """The ``__all__`` aggregate: every region's counts summed, and their
+    eligible populations too when every region has one."""
+    counts = rows[0].counts
+    for r in rows[1:]:
+        counts = counts + r.counts
+    eligibles = [r.eligible for r in rows]
+    return RegionRow(ALL_REGIONS, counts, None if None in eligibles else sum(eligibles))
+
+
+def turnout_adjust(counts: StanceCounts, eligible: int) -> StanceCounts:
+    """Recast the no-stance group as everyone eligible who cast no valid vote."""
+    if eligible < counts.total:
+        raise EligibleLessThanVotes(
+            f"eligible {eligible} < population {counts.total} already counted"
+        )
+    return counts.with_no_stance(eligible - sum(counts.explicit))
+
+
 # -- CSV loaders -------------------------------------------------------------------
 
-def _read_csv_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, str]]:
+def _read_csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[dict[str, str]]:
+    """Stream the rows of a CSV file whose header names every ``required``
+    column; a row with fewer fields than the header is malformed."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -364,12 +354,47 @@ def _read_csv_rows(path: str | Path, required: Sequence[str]) -> list[dict[str, 
         missing = [col for col in required if col not in reader.fieldnames]
         if missing:
             raise MalformedRow(f"{path}: header lacks column(s) {missing}")
-        rows = []
         for row in reader:
-            if any(row.get(col) is None for col in required):
+            if None in row.values():
                 raise MalformedRow(f"{path}: short row {row}")
-            rows.append(row)
-    return rows
+            yield row
+
+
+def _read_grouped(
+    path: str | Path,
+    key: str,
+    stance: str,
+    parse: Callable[[dict[str, str]], V],
+    values: Sequence[str] = (),
+) -> dict[str, dict[str, V]]:
+    """Rows grouped by their ``key`` cell, then by their ``stance`` cell, in
+    file order; ``parse`` turns each row into its value as it is read.
+
+    The header must also name the ``values`` columns.  A row with an empty
+    key or stance, or a (key, stance) pair seen before, is malformed.
+    """
+    groups: dict[str, dict[str, V]] = {}
+    for row in _read_csv_rows(path, (key, stance, *values)):
+        group, sid = row[key], row[stance]
+        if not group or not sid:
+            raise MalformedRow(f"{path}: empty {key} or {stance} in row {row}")
+        bucket = groups.get(group)
+        if bucket is None:
+            bucket = groups[group] = {}
+        if sid in bucket:
+            raise DuplicateStanceRow(f"{group}/{sid} appears twice")
+        bucket[sid] = parse(row)
+    if not groups:
+        raise EmptyInput(f"{path}: no data rows")
+    return groups
+
+
+def _exclusive_counts(stances: Mapping[str, int]) -> StanceCounts:
+    """Counts over an exclusive space of the explicit stances, in their order;
+    the ``__none__`` entry, if any, is the no-stance group."""
+    explicit = {sid: c for sid, c in stances.items() if sid != NO_STANCE}
+    space = StanceSpace.exclusive(list(explicit))
+    return StanceCounts.from_mapping(space, explicit, no_stance=stances.get(NO_STANCE, 0))
 
 
 def _parse_count(text: str, row: Mapping[str, str]) -> int:
@@ -389,21 +414,7 @@ def _parse_date(text: str) -> date:
         raise MalformedRow(f"bad date {text!r} (want YYYY-MM-DD)") from exc
 
 
-@dataclass(frozen=True)
-class PollSchema:
-    """Column names for poll topline CSVs; override to adapt other exports."""
-
-    topic: str = "topic"
-    stance: str = "stance"
-    count: str = "count"
-    percent: str = "percent"
-    total: str = "total"
-
-
-def load_poll_topline(
-    path: str | Path,
-    schema: PollSchema | None = None,
-) -> list[tuple[str, StanceCounts]]:
+def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     """Read poll toplines into one StanceCounts per topic, in file order.
 
     Accepts either a ``count`` column or a ``percent`` column; percentages
@@ -411,53 +422,22 @@ def load_poll_topline(
     effective counts with round-half-to-even.  The ``__none__`` stance row
     holds the no-answer group.
     """
-    schema = schema or PollSchema()
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if schema.topic not in header or schema.stance not in header:
-            raise MalformedRow(f"{path}: header must carry {schema.topic!r} and {schema.stance!r}")
-        use_percent = schema.count not in header
-        if use_percent and schema.percent not in header:
-            raise MalformedRow(
-                f"{path}: need a {schema.count!r} or {schema.percent!r} column"
-            )
-        topics: dict[str, dict[str, int]] = {}
-        for row in reader:
-            topic = row.get(schema.topic)
-            stance = row.get(schema.stance)
-            if not topic or not stance:
-                raise MalformedRow(f"{path}: short row {dict(row)}")
-            value = _poll_row_count(row, schema, use_percent)
-            per_topic = topics.setdefault(topic, {})
-            if stance in per_topic:
-                raise DuplicateStanceRow(f"{topic}/{stance} appears twice")
-            per_topic[stance] = value
-    if not topics:
-        raise EmptyInput(f"{path}: no data rows")
-    out = []
-    for topic, stances in topics.items():
-        explicit = [sid for sid in stances if sid != NO_STANCE]
-        space = StanceSpace.exclusive(explicit)
-        counts = StanceCounts.from_mapping(
-            space,
-            {sid: c for sid, c in stances.items() if sid != NO_STANCE},
-            no_stance=stances.get(NO_STANCE, 0),
-        )
-        out.append((topic, counts))
-    return out
+    topics = _read_grouped(path, "topic", "stance", _poll_row_count)
+    return [(topic, _exclusive_counts(stances)) for topic, stances in topics.items()]
 
 
-def _poll_row_count(row: Mapping[str, str], schema: PollSchema, use_percent: bool) -> int:
-    if not use_percent:
-        return _parse_count(row[schema.count], row)
+def _poll_row_count(row: Mapping[str, str]) -> int:
+    if "count" in row:
+        return _parse_count(row["count"], row)
+    if "percent" not in row:
+        raise MalformedRow(f"poll rows need a 'count' or 'percent' column, got {dict(row)}")
     try:
-        percent = Fraction(row[schema.percent])
+        percent = Fraction(row["percent"])
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedRow(f"bad percentage in row {dict(row)}") from exc
     if percent < 0:
         raise NegativeCount(f"negative percentage in row {dict(row)}")
-    total_text = (row.get(schema.total) or "").strip()
+    total_text = (row.get("total") or "").strip()
     if not total_text:
         raise MissingTotal(f"percentage row without respondent total: {dict(row)}")
     total = _parse_count(total_text, row)
@@ -468,7 +448,7 @@ def _poll_row_count(row: Mapping[str, str], schema: PollSchema, use_percent: boo
 
 def load_vote_records(
     path: str | Path,
-    turnout_mode: TurnoutMode = "ballots-only",
+    turnout_mode: str = "ballots-only",
     topic: str | None = None,
 ) -> RegionTable:
     """Read regional votes; non-voters and rejected ballots carry no stance.
@@ -481,58 +461,40 @@ def load_vote_records(
     """
     if turnout_mode not in ("ballots-only", "eligible-population"):
         raise ValueError(f"unknown turnout mode {turnout_mode!r}")
-    rows = _read_csv_rows(path, ("region", "option", "count"))
-    options: list[str] = []
-    per_region: dict[str, dict[str, int]] = {}
-    for row in rows:
-        region, option = row["region"], row["option"]
-        if region == ALL_REGIONS:
-            raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
-        count = _parse_count(row["count"], row)
-        bucket = per_region.setdefault(region, {})
-        if option in bucket:
-            raise DuplicateStanceRow(f"{region}/{option} appears twice")
-        bucket[option] = count
-        if option not in (ELIGIBLE, REJECTED, NO_STANCE) and option not in options:
-            options.append(option)
-    if not per_region:
-        raise EmptyInput(f"{path}: no data rows")
+    options: dict[str, None] = {}  # the valid options, in the order the file names them
 
-    space = StanceSpace.exclusive(options)
+    def parse(row: dict[str, str]) -> int:
+        if row["region"] == ALL_REGIONS:
+            raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
+        if row["option"] not in (ELIGIBLE, REJECTED, NO_STANCE):
+            options[row["option"]] = None
+        return _parse_count(row["count"], row)
+
+    per_region = _read_grouped(path, "region", "option", parse, ("count",))
+    space = StanceSpace.exclusive(list(options))
     table_rows = []
     for region, bucket in per_region.items():
         valid = {sid: bucket.get(sid, 0) for sid in options}
-        rejected = bucket.get(REJECTED, 0)
-        none_ballots = bucket.get(NO_STANCE, 0)
+        ballots = bucket.get(REJECTED, 0) + bucket.get(NO_STANCE, 0)
+        counts = StanceCounts.from_mapping(space, valid, no_stance=ballots)
         eligible = bucket.get(ELIGIBLE)
-        cast = sum(valid.values()) + rejected + none_ballots
-        if eligible is not None and eligible < cast:
+        if eligible is not None and eligible < counts.total:
             raise EligibleLessThanVotes(
-                f"region {region!r}: eligible {eligible} < {cast} ballots cast"
+                f"region {region!r}: eligible {eligible} < {counts.total} ballots cast"
             )
         if turnout_mode == "eligible-population":
             if eligible is None:
                 raise MissingEligible(f"region {region!r} has no {ELIGIBLE} row")
-            g0 = eligible - sum(valid.values())
-        else:
-            g0 = rejected + none_ballots
-        counts = StanceCounts.from_mapping(space, valid, no_stance=g0)
+            counts = turnout_adjust(counts, eligible)
         table_rows.append(RegionRow(region, counts, eligible))
-
-    aggregate = table_rows[0].counts
-    for r in table_rows[1:]:
-        aggregate = aggregate + r.counts
-    eligibles = [r.eligible for r in table_rows]
-    total_eligible = sum(eligibles) if all(e is not None for e in eligibles) else None
-    table_rows.append(RegionRow(ALL_REGIONS, aggregate, total_eligible))
+    table_rows.append(all_regions_row(table_rows))
     return RegionTable(topic or Path(path).stem, tuple(table_rows))
 
 
 def load_daily_totals(path: str | Path) -> dict[date, int]:
     """Read the ``date,total`` baseline counts (the G0 source) per UTC day."""
-    rows = _read_csv_rows(path, ("date", "total"))
     totals: dict[date, int] = {}
-    for row in rows:
+    for row in _read_csv_rows(path, ("date", "total")):
         day = _parse_date(row["date"])
         if day in totals:
             raise DuplicateStanceRow(f"date {row['date']} appears twice in totals")
@@ -546,35 +508,26 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     The importance rating must agree across a topic's rows; an empty field
     means the topic has no rating (rejected later unless skipped).
     """
-    rows = _read_csv_rows(path, ("topic", "stance", "count"))
-    per_topic: dict[str, dict[str, int]] = {}
-    importance: dict[str, float | None] = {}
-    for row in rows:
-        topic, stance = row["topic"], row["stance"]
-        count = _parse_count(row["count"], row)
-        bucket = per_topic.setdefault(topic, {})
-        if stance in bucket:
-            raise DuplicateStanceRow(f"{topic}/{stance} appears twice")
-        bucket[stance] = count
-        raw_importance = (row.get("importance") or "").strip()
-        rating = float(raw_importance) if raw_importance else None
-        if topic not in importance:
-            importance[topic] = rating
-        elif importance[topic] != rating:
-            raise MalformedRow(f"topic {topic!r} carries conflicting importance ratings")
-    if not per_topic:
-        raise EmptyInput(f"{path}: no data rows")
+    topics = _read_grouped(path, "topic", "stance", _quadrant_row, ("count",))
     out = []
-    for topic, stances in per_topic.items():
-        explicit = [sid for sid in stances if sid != NO_STANCE]
-        space = StanceSpace.exclusive(explicit)
-        counts = StanceCounts.from_mapping(
-            space,
-            {sid: c for sid, c in stances.items() if sid != NO_STANCE},
-            no_stance=stances.get(NO_STANCE, 0),
-        )
-        out.append((topic, counts, importance[topic]))
+    for topic, rows in topics.items():
+        ratings = {rating for _, rating in rows.values()}
+        if len(ratings) > 1:
+            raise MalformedRow(f"topic {topic!r} carries conflicting importance ratings")
+        counts = _exclusive_counts({sid: count for sid, (count, _) in rows.items()})
+        out.append((topic, counts, ratings.pop()))
     return out
+
+
+def _quadrant_row(row: Mapping[str, str]) -> tuple[int, float | None]:
+    count = _parse_count(row["count"], row)
+    text = (row.get("importance") or "").strip()
+    if not text:
+        return count, None
+    try:
+        return count, float(text)
+    except ValueError as exc:
+        raise MalformedRow(f"importance {text!r} is not a number in row {dict(row)}") from exc
 
 
 # -- daily tweet counting ------------------------------------------------------------

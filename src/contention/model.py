@@ -26,7 +26,7 @@ size; the single final float division carries relative error ~1e-16.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -66,27 +66,33 @@ class StanceSpace:
 
     stances: tuple[Stance, ...]
     conflicts: tuple[tuple[bool, ...], ...]
+    _exclusive: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [s.id for s in self.stances]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stance ids: {ids}")
         size = self.k + 1
-        matrix = tuple(tuple(bool(c) for c in row) for row in self.conflicts)
+        matrix = tuple(tuple(map(bool, row)) for row in self.conflicts)
         if len(matrix) != size or any(len(row) != size for row in matrix):
             raise ValueError(f"conflict matrix must be {size}x{size} (index 0 = no stance)")
-        for i in range(size):
-            if matrix[i][i]:
+        exclusive = True
+        for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
+            if row[i]:
                 raise ValueError("a stance cannot conflict with itself")
-            if matrix[0][i] or matrix[i][0]:
+            if row[0] or column[0]:
                 raise ValueError("the no-stance sentinel conflicts with nothing")
-            for j in range(i):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValueError(
-                        f"conflict matrix is asymmetric at ({i},{j}); "
-                        "fix the input instead of relying on symmetrization"
-                    )
+            if row[:i] != column[:i]:
+                j = next(j for j in range(i) if row[j] != column[j])
+                raise ValueError(
+                    f"conflict matrix is asymmetric at ({i},{j}); "
+                    "fix the input instead of relying on symmetrization"
+                )
+            # with the row symmetric, explicit stances below the diagonal
+            # must all conflict for the mutually-exclusive pattern
+            exclusive = exclusive and all(row[1:i])
         object.__setattr__(self, "conflicts", matrix)
+        object.__setattr__(self, "_exclusive", exclusive)
 
     @classmethod
     def exclusive(cls, stance_ids: Sequence[str], labels: Mapping[str, str] | None = None) -> StanceSpace:
@@ -94,9 +100,9 @@ class StanceSpace:
         labels = labels or {}
         stances = tuple(Stance(sid, labels.get(sid, "")) for sid in stance_ids)
         k = len(stances)
-        matrix = tuple(
-            tuple(i != j and i != 0 and j != 0 for j in range(k + 1))
-            for i in range(k + 1)
+        # row i: no conflict with the sentinel or with itself, with all else
+        matrix = ((False,) * (k + 1),) + tuple(
+            (False,) + (True,) * (i - 1) + (False,) + (True,) * (k - i) for i in range(1, k + 1)
         )
         return cls(stances, matrix)
 
@@ -146,11 +152,7 @@ class StanceSpace:
 
     def is_exclusive(self) -> bool:
         """True when the matrix is exactly the mutually-exclusive pattern."""
-        return all(
-            self.conflicts[i][j] == (i != j and i != 0 and j != 0)
-            for i in range(self.k + 1)
-            for j in range(self.k + 1)
-        )
+        return self._exclusive
 
     def conflict_row_mask(self, i: int) -> int:
         """Bitmask of stance indices conflicting with stance index ``i``."""
@@ -381,9 +383,15 @@ def _result_from_ratio(
 ) -> ContentionResult:
     # One division per score keeps the integer arithmetic exact up to the
     # final rounding, and makes the closed form and the general path agree
-    # bit-for-bit on identical populations.
+    # bit-for-bit on identical populations.  A sampled estimate (hits over
+    # draws) is normalized from its rounded raw value instead: the two can
+    # differ in the last bit, which moves printed digits of sampled runs
+    # whose estimate sits on a rounding tie.
     raw = num / den
-    normalized = (num * k) / (den * (k - 1)) if k >= 2 else 0.0
+    if samples is None:
+        normalized = (num * k) / (den * (k - 1)) if k >= 2 else 0.0
+    else:
+        normalized = normalize_contention(raw, k)
     return ContentionResult(
         raw=raw,
         normalized=normalized,
@@ -401,10 +409,12 @@ def _result_from_ratio(
 def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") -> ContentionResult:
     """Closed-form contention for mutually exclusive stances.
 
-    raw = sum over unordered explicit pairs of 2*g_i*g_j, divided by the
-    squared population size (selection with replacement).  The stance
-    space must carry the all-pairs-conflict pattern; anything else has to
-    go through :func:`contention_general`.
+    raw = (n_s^2 - sum of g_i^2) / n^2, where g_i are the explicit stance
+    counts and n_s their sum: the ordered pairs of stance-holders minus
+    those who agree, over all ordered pairs of the population (selection
+    with replacement).  Exact in integers.  The stance space must carry
+    the all-pairs-conflict pattern; anything else has to go through
+    :func:`contention_general`.
     """
     if not counts.space.is_exclusive():
         raise NonExclusiveSpace(
@@ -414,24 +424,27 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
     g = counts.explicit
-    num = 0
-    for i in range(1, len(g)):
-        for j in range(i):
-            num += g[i] * g[j]
-    num *= 2
+    n_s = sum(g)
+    num = n_s * n_s - sum(x * x for x in g)
     k = _norm_k(counts.space.k, counts.observed_k, k_mode)
     return _result_from_ratio(
         num, n * n, k=k, population=n, method="exclusive-closed-form", flt=counts.filter
     )
 
 
-def _signature_groups(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
-    """Group people by held-stance bitmask; returns (masks, counts)."""
-    tally: dict[int, int] = {}
+def _held_masks(assignments: AssignmentSet) -> Iterator[int]:
+    """Each person's held-stance bitmask, in person order."""
     for held in assignments.assignments:
         mask = 0
         for i in held:
             mask |= 1 << i
+        yield mask
+
+
+def _signature_groups(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
+    """Group people by held-stance bitmask; returns (masks, counts)."""
+    tally: dict[int, int] = {}
+    for mask in _held_masks(assignments):
         tally[mask] = tally.get(mask, 0) + 1
     masks = sorted(tally)
     return masks, [tally[m] for m in masks]
@@ -507,39 +520,27 @@ def contention_sampled(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space = assignments.space
-    masks, _ = _signature_groups(assignments)
-    sig_index = {m: i for i, m in enumerate(masks)}
-    person_sig = np.empty(n, dtype=np.int64)
-    for p, held in enumerate(assignments.assignments):
-        mask = 0
-        for i in held:
-            mask |= 1 << i
-        person_sig[p] = sig_index[mask]
-    opposing = _opposing_masks(space, masks)
-    conflict = np.zeros((len(masks), len(masks)), dtype=bool)
-    for a in range(len(masks)):
-        for b in range(len(masks)):
-            conflict[a, b] = bool(masks[b] & opposing[a])
+    # each person's signature index, numbered in order of first appearance;
+    # the hit count does not depend on how signatures are numbered
+    sig_index: dict[int, int] = {}
+    person_sig = np.fromiter(
+        (sig_index.setdefault(mask, len(sig_index)) for mask in _held_masks(assignments)),
+        dtype=np.int64,
+        count=n,
+    )
+    masks = list(sig_index)
+    conflict = np.array(
+        [[bool(b & opp) for b in masks] for opp in _opposing_masks(space, masks)], dtype=bool
+    )
 
     rng = np.random.default_rng(seed)
     first = person_sig[rng.integers(0, n, size=samples)]
     second = person_sig[rng.integers(0, n, size=samples)]
     hits = int(conflict[first, second].sum())
-
-    raw = hits / samples
     k = _norm_k(space.k, assignments.observed_k, k_mode)
-    normalized = normalize_contention(raw, k)
-    return ContentionResult(
-        raw=raw,
-        normalized=normalized,
-        non_contention_raw=1.0 - raw,
-        non_contention_normalized=1.0 - normalized,
-        k=k,
-        population=n,
-        method="general-sampled",
-        samples=samples,
-        seed=seed,
-        filter=assignments.filter,
+    return _result_from_ratio(
+        hits, samples, k=k, population=n, method="general-sampled",
+        samples=samples, seed=seed, flt=assignments.filter,
     )
 
 
@@ -567,20 +568,11 @@ def sampled_from_counts(
     rng = np.random.default_rng(seed)
     first = rng.choice(space.k + 1, size=samples, p=weights)
     second = rng.choice(space.k + 1, size=samples, p=weights)
-    raw = float(matrix[first, second].mean())
+    hits = int(matrix[first, second].sum())
     k = _norm_k(space.k, counts.observed_k, k_mode)
-    normalized = normalize_contention(raw, k)
-    return ContentionResult(
-        raw=raw,
-        normalized=normalized,
-        non_contention_raw=1.0 - raw,
-        non_contention_normalized=1.0 - normalized,
-        k=k,
-        population=n,
-        method="general-sampled",
-        samples=samples,
-        seed=seed,
-        filter=counts.filter,
+    return _result_from_ratio(
+        hits, samples, k=k, population=n, method="general-sampled",
+        samples=samples, seed=seed, flt=counts.filter,
     )
 
 

@@ -136,6 +136,13 @@ class TestPollCommand:
         code, _, err = run_cli(["poll", "/nonexistent.csv"], capsys)
         assert code == EX_DATA
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"topic,stance,count\nt,caf\xff,1\n")
+        code, _, err = run_cli(["poll", str(path)], capsys)
+        assert code == EX_DATA
+        assert json.loads(err.strip())["error"] == "UnicodeDecodeError"
+
     def test_sampled_estimator_deterministic(self, poll_csv, capsys):
         argv = ["poll", poll_csv, "--samples", "20000", "--seed", "9"]
         code_a, out_a, _ = run_cli(argv, capsys)
@@ -308,6 +315,17 @@ class TestQuadrantCommand:
         code, _, _ = run_cli(["quadrant", quadrant_csv], capsys)
         assert code == EX_USAGE
 
+    def test_empty_scale_is_usage_error(self, quadrant_csv, capsys):
+        code, _, _ = run_cli(["quadrant", quadrant_csv, "--importance-scale", "5", "5"], capsys)
+        assert code == EX_USAGE
+
+    @pytest.mark.parametrize("row", ["t,a,1,high", ",a,1,5"])
+    def test_bad_row_is_data_error(self, tmp_path, row, capsys):
+        path = write(tmp_path, "q.csv", f"topic,stance,count,importance\nt,b,1,5\n{row}\n")
+        code, _, err = run_cli(["quadrant", path, "--importance-scale", "0", "10"], capsys)
+        assert code == EX_DATA
+        assert json.loads(err.strip())["error"] == "MalformedRow"
+
 
 class TestConfigAndHelp:
     def test_config_supplies_defaults_flags_win(self, poll_csv, tmp_path, capsys):
@@ -324,6 +342,22 @@ class TestConfigAndHelp:
         code, _, err = run_cli(["poll", poll_csv, "--config", config], capsys)
         assert code == EX_DATA
         assert json.loads(err.strip())["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--seed", "-1"]])
+    def test_bad_flag_value_is_usage_error(self, poll_csv, flags, capsys):
+        code, out, _ = run_cli(["poll", poll_csv, *flags], capsys)
+        assert code == EX_USAGE and out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("threads", "x"), ("precision", "x"), ("precision", None), ("samples", 0),
+        ("samples", 1.5), ("seed", "x"), ("error_budget", "lots"), ("importance_scale", [5, 5]),
+        ("importance_scale", "0 10"),
+    ])
+    def test_bad_config_value_is_usage_error(self, poll_csv, tmp_path, key, value, capsys):
+        config = write(tmp_path, "cfg.json", json.dumps({key: value}))
+        code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
+        assert code == EX_USAGE and out == ""
+        assert key.replace("_", "-") in err or key in err
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -365,3 +399,194 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "poll" in proc.stdout and "quadrant" in proc.stdout
+
+
+# -- golden output ------------------------------------------------------------------
+#
+# stdout of every subcommand on small fixtures, pinned byte for byte: a change
+# to loading, scoring or writing that moves one printed digit fails here, and
+# the strings are not to be regenerated to make it pass.
+
+GOLDEN_PERCENT_POLL = (
+    "topic,stance,percent,total\n"
+    "brexit,leave,51.9,1000\n"
+    "brexit,remain,48.1,1000\n"
+    "parks,yes,93.0116,812\n"
+    "parks,no,6.9884,812\n"
+    "parks,__none__,0.5,812\n"
+    "school,a,40,7\n"
+    "school,b,35,7\n"
+    "school,c,25,7\n"
+)
+
+GOLDEN_QUADRANT = (
+    "topic,stance,count,importance\n"
+    "national-parks,yes,930116,6.1\n"
+    "national-parks,no,69884,6.1\n"
+    "checks,yes,7,8.5\n"
+    "checks,no,2,8.5\n"
+    "checks,maybe,1,8.5\n"
+    "checks,__none__,4,8.5\n"
+)
+
+# a sampled estimate whose normalized score sits on a rounding tie at 6 decimals
+# (4000 draws, seed 6), so it prints the digits of the exact float operations
+GOLDEN_TIE_POLL = (
+    "topic,stance,count\n"
+    "tie,a,5\ntie,b,4\ntie,c,3\ntie,d,2\ntie,e,1\ntie,__none__,3\n"
+)
+
+GOLDEN_ELIGIBLE_VOTES = (
+    "region,option,count\n"
+    "north,a,30\nnorth,b,20\nnorth,__rejected__,3\nnorth,__eligible__,100\n"
+    "south,b,9\nsouth,a,1\nsouth,__none__,2\nsouth,__eligible__,40\n"
+)
+
+GOLDEN = {
+    "poll-counts-csv": (
+        ["poll", "{poll}"],
+        "topic,n,k,raw,normalized\n"
+        "evolution,100,2,0.039200,0.078400\n",
+    ),
+    "poll-counts-json": (
+        ["poll", "{poll}", "--json"],
+        '{"topic": "evolution", "n": 100, "k": 2, "raw": 0.0392, "normalized": 0.0784}\n',
+    ),
+    "poll-percent-csv": (
+        ["poll", "{percent}"],
+        "topic,n,k,raw,normalized\n"
+        "brexit,1000,2,0.499278,0.998556\n"
+        "parks,816,2,0.129262,0.258524\n"
+        "school,7,3,0.653061,0.979592\n",
+    ),
+    "poll-percent-json": (
+        ["poll", "{percent}", "--json"],
+        '{"topic": "brexit", "n": 1000, "k": 2, "raw": 0.499278, "normalized": 0.998556}\n'
+        '{"topic": "parks", "n": 816, "k": 2, "raw": 0.129262, "normalized": 0.258524}\n'
+        '{"topic": "school", "n": 7, "k": 3, "raw": 0.653061, "normalized": 0.979592}\n',
+    ),
+    "poll-sampled": (
+        ["poll", "{poll}", "--samples", "20000", "--seed", "9"],
+        "topic,n,k,raw,normalized\n"
+        "evolution,100,2,0.041100,0.082200\n",
+    ),
+    "poll-percent-sampled": (
+        ["poll", "{percent}", "--samples", "3001", "--seed", "5"],
+        "topic,n,k,raw,normalized\n"
+        "brexit,1000,2,0.491503,0.983006\n"
+        "parks,816,2,0.127624,0.255248\n"
+        "school,7,3,0.661779,0.992669\n",
+    ),
+    "poll-sampled-tie": (
+        ["poll", "{tie}", "--samples", "4000", "--seed", "6"],
+        "topic,n,k,raw,normalized\n"
+        "tie,18,5,0.528750,0.660938\n",
+    ),
+    "votes-ballots": (
+        ["votes", "{brexit}", "--turnout", "ballots"],
+        "region,n,k,raw,normalized\n"
+        "__all__,85055,2,0.499537,0.999073\n"
+        "dover,64910,2,0.469961,0.939922\n"
+        "gibraltar,20145,2,0.078370,0.156739\n",
+    ),
+    "votes-us-ballots": (
+        ["votes", "{us}", "--turnout", "ballots"],
+        "region,n,k,raw,normalized\n"
+        "__all__,136669276,2,0.444123,0.888246\n"
+        "us,136669276,2,0.444123,0.888246\n",
+    ),
+    "votes-us-eligible": (
+        ["votes", "{us}", "--turnout", "eligible"],
+        "region,n,k,raw,normalized\n"
+        "__all__,230585915,2,0.156020,0.312039\n"
+        "us,230585915,2,0.156020,0.312039\n",
+    ),
+    "votes-eligible-regions": (
+        ["votes", "{eligible}", "--turnout", "eligible"],
+        "region,n,k,raw,normalized\n"
+        "__all__,140,2,0.091735,0.183469\n"
+        "north,100,2,0.120000,0.240000\n"
+        "south,40,2,0.011250,0.022500\n",
+    ),
+    "votes-eligible-regions-json": (
+        ["votes", "{eligible}", "--turnout", "eligible", "--json"],
+        '{"region": "__all__", "n": 140, "k": 2, "raw": 0.091735, "normalized": 0.183469}\n'
+        '{"region": "north", "n": 100, "k": 2, "raw": 0.12, "normalized": 0.24}\n'
+        '{"region": "south", "n": 40, "k": 2, "raw": 0.01125, "normalized": 0.0225}\n',
+    ),
+    "votes-sampled": (
+        ["votes", "{brexit}", "--samples", "5000", "--seed", "3"],
+        "region,n,k,raw,normalized\n"
+        "__all__,85055,2,0.501200,1.002400\n"
+        "dover,64910,2,0.477400,0.954800\n"
+        "gibraltar,20145,2,0.091000,0.182000\n",
+    ),
+    "quadrant": (
+        ["quadrant", "{quadrant}", "--importance-scale", "0", "10"],
+        "topic,contention,importance\n"
+        "national-parks,0.260001,0.610000\n"
+        "checks,0.352041,0.850000\n",
+    ),
+    "quadrant-json": (
+        ["quadrant", "{quadrant}", "--importance-scale", "0", "10", "--json"],
+        '{"topic": "national-parks", "contention": 0.260001, "importance": 0.61}\n'
+        '{"topic": "checks", "contention": 0.352041, "importance": 0.85}\n',
+    ),
+    "tweets": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,,4,2,,,0.375000,0.750000\n"
+        "2016-06-22,,4,2,,,0.500000,1.000000\n",
+    ),
+    "tweets-totals": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
+        "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
+        "2016-06-23,5,0,2,0.000000,0.000000,,\n",
+    ),
+    "tweets-by-user": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--by-user"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,,4,2,,,0.375000,0.750000\n"
+        "2016-06-22,,4,2,,,0.500000,1.000000\n",
+    ),
+    "tweets-by-user-totals": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--by-user", "--totals", "{totals}"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
+        "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
+        "2016-06-23,5,0,2,0.000000,0.000000,,\n",
+    ),
+    "tweets-observed": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}", "--normalize", "observed"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
+        "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
+        "2016-06-23,5,0,0,0.000000,0.000000,,\n",
+    ),
+    "tweets-json": (
+        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}", "--json"],
+        '{"date": "2016-06-21", "n_all": 10, "n_stanced": 4, "k": 2, "raw_all": 0.06, "norm_all": 0.12, "raw_stanced": 0.375, "norm_stanced": 0.75}\n'
+        '{"date": "2016-06-22", "n_all": 8, "n_stanced": 4, "k": 2, "raw_all": 0.125, "norm_all": 0.25, "raw_stanced": 0.5, "norm_stanced": 1.0}\n'
+        '{"date": "2016-06-23", "n_all": 5, "n_stanced": 0, "k": 2, "raw_all": 0.0, "norm_all": 0.0, "raw_stanced": null, "norm_stanced": null}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_stdout(case, tmp_path, poll_csv, brexit_votes_csv, us_votes_csv,
+                       tweet_fixture, capsys):
+    stream, lexicon, totals = tweet_fixture
+    files = {
+        "poll": poll_csv, "brexit": brexit_votes_csv, "us": us_votes_csv,
+        "stream": stream, "lexicon": lexicon, "totals": totals,
+        "percent": write(tmp_path, "percent.csv", GOLDEN_PERCENT_POLL),
+        "quadrant": write(tmp_path, "quadrant.csv", GOLDEN_QUADRANT),
+        "eligible": write(tmp_path, "eligible.csv", GOLDEN_ELIGIBLE_VOTES),
+        "tie": write(tmp_path, "tie.csv", GOLDEN_TIE_POLL),
+    }
+    template, expected = GOLDEN[case]
+    code, out, _ = run_cli([arg.format(**files) for arg in template], capsys)
+    assert code == 0
+    assert out == expected

@@ -21,7 +21,6 @@ from contention.errors import (
 )
 from contention.ingest import (
     ALL_REGIONS,
-    DailySeries,
     StanceLexicon,
     TweetRecord,
     build_daily_counts,
@@ -262,6 +261,11 @@ class TestTimestamps:
         with pytest.raises(UnparseableTimestamp):
             parse_utc_timestamp("yesterday-ish")
 
+    @pytest.mark.parametrize("text", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+    def test_shift_out_of_range_rejected(self, text):
+        with pytest.raises(UnparseableTimestamp):
+            parse_utc_timestamp(text)
+
     def test_missing_field_is_malformed(self):
         with pytest.raises(MalformedRow):
             TweetRecord.from_json_obj({"id": "1", "ts": "2016-01-01T00:00:00Z"})
@@ -333,18 +337,6 @@ class TestBuildDailyCounts:
         assert by_date[date(2015, 2, 26)] == (0, 1)
         assert by_date[date(2015, 2, 27)] == (0, 0)
 
-    def test_roundtrip_csv(self, tmp_path, dress_lexicon):
-        records = [
-            tweet("1", "2015-02-26T10:00:00Z", "u1", ["whiteandgold"]),
-            tweet("2", "2015-02-27T10:00:00Z", "u2", ["blackandblue"]),
-        ]
-        series = build_daily_counts(records, dress_lexicon, {date(2015, 2, 26): 10})
-        out = tmp_path / "series.csv"
-        series.write_csv(out)
-        again = DailySeries.read_csv(series.topic, out)
-        assert [d.counts.counts for d in again.days] == [d.counts.counts for d in series.days]
-        assert [d.has_total for d in again.days] == [d.has_total for d in series.days]
-
 
 class TestTweetStream:
     def make_stream(self, tmp_path, lines):
@@ -405,6 +397,21 @@ class TestTweetStream:
         with pytest.raises(ErrorBudgetExceeded):
             ingest_tweets([path], dress_lexicon, error_budget=0.1)
 
+    def test_out_of_range_values_count_against_budget(self, tmp_path, dress_lexicon):
+        # a timestamp the UTC shift pushes out of range, and an integer past
+        # the interpreter's digit limit for int/str conversion
+        shifted = json.dumps({"id": "t", "ts": "0001-01-01T00:30:00+01:00",
+                              "user": "t", "hashtags": ["whiteandgold"]})
+        huge = ('{"id": 1' + "0" * 5000 + ', "ts": "2015-02-26T10:00:00Z", '
+                '"user": "h", "hashtags": ["whiteandgold"]}')
+        lines = [self.good_line(i) for i in range(8)] + [shifted, huge]
+        path = self.make_stream(tmp_path, lines)
+        series, stats = ingest_tweets([path], dress_lexicon, error_budget=0.5)
+        assert (stats.lines, stats.parsed, stats.parse_errors) == (10, 8, 2)
+        assert series.days[0].counts.explicit == (8, 0)
+        with pytest.raises(ErrorBudgetExceeded):
+            ingest_tweets([path], dress_lexicon, error_budget=0.1)
+
     @pytest.mark.parametrize("mode", ["tweet", "user"])
     def test_no_shards(self, dress_lexicon, mode):
         series, stats = ingest_tweets([], dress_lexicon, mode=mode)
@@ -446,3 +453,34 @@ class TestSmallLoaders:
                      "topic,stance,count,importance\nt,a,1,3\nt,b,1,4\n")
         with pytest.raises(MalformedRow):
             load_quadrant_topics(path)
+
+    def test_quadrant_non_numeric_importance(self, tmp_path):
+        path = write(tmp_path, "quad.csv",
+                     "topic,stance,count,importance\nt,a,1,high\nt,b,1,high\n")
+        with pytest.raises(MalformedRow):
+            load_quadrant_topics(path)
+
+
+# every grouped CSV loader: header, the row with the good stance, and what each
+# row needs after its count to be complete
+GROUPED_LOADERS = {
+    "poll": (load_poll_topline, "topic,stance,count", ""),
+    "quadrant": (load_quadrant_topics, "topic,stance,count,importance", ",5"),
+    "votes": (load_vote_records, "region,option,count", ""),
+}
+BAD_ROWS = {
+    "empty-key": ",a,1{tail}",
+    "empty-stance": "t,,1{tail}",
+    "short-row": "t,a",
+    "repeated-pair": "t,a,1{tail}\nt,a,2{tail}",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("loader", sorted(GROUPED_LOADERS))
+def test_grouped_csv_row_rule(tmp_path, loader, bad):
+    load, header, tail = GROUPED_LOADERS[loader]
+    good = f"t,b,1{tail}"
+    path = write(tmp_path, "in.csv", f"{header}\n{good}\n{BAD_ROWS[bad].format(tail=tail)}\n")
+    with pytest.raises(MalformedRow):
+        load(path)
