@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContentionError, ImportanceOutOfDeclaredRange, MissingImportance
 from .ingest import ALL_REGIONS, DailySeries, RegionTable, all_regions_row
@@ -59,16 +60,22 @@ def timeseries(series: DailySeries, *, k_mode: KMode = "declared") -> list[Serie
 
 
 def region_contention(
-    table: RegionTable, *, k_mode: KMode = "declared"
+    table: RegionTable,
+    *,
+    k_mode: KMode = "declared",
+    score: Callable[[StanceCounts], ContentionResult] | None = None,
 ) -> list[tuple[str, ContentionResult]]:
-    """Contention per region plus the ``__all__`` aggregate, sorted by id."""
+    """Contention per region plus the ``__all__`` aggregate, sorted by id.
+
+    ``score`` replaces the closed form at ``k_mode``, e.g. with a sampled
+    estimate.
+    """
+    if score is None:
+        score = partial(contention_exclusive, k_mode=k_mode)
     rows = list(table.rows)
     if all(r.region != ALL_REGIONS for r in rows):
         rows.append(all_regions_row(rows))
-    return [
-        (r.region, contention_exclusive(r.counts, k_mode=k_mode))
-        for r in sorted(rows, key=lambda r: r.region)
-    ]
+    return [(r.region, score(r.counts)) for r in sorted(rows, key=lambda r: r.region)]
 
 
 @dataclass(frozen=True)

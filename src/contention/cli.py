@@ -96,7 +96,8 @@ def build_parser() -> _Parser:
         p.add_argument("--precision", type=int,
                        help="decimals for printed scores (default: 6)")
         p.add_argument("--threads", type=int,
-                       help="worker threads for sharded ingestion (default: 1)")
+                       help="accepted and checked (>= 1) but selects nothing: "
+                            "every command runs in one thread (default: 1)")
         p.add_argument("--normalize", choices=("declared", "observed"),
                        help="normalize by the declared stance count or only the "
                             "observed nonzero one (default: declared)")
@@ -218,6 +219,8 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
         raise _UsageError("--precision must be >= 0")
     if merged["threads"] < 1:
         raise _UsageError("--threads must be >= 1")
+    if not 0 <= merged["error_budget"] <= 1:
+        raise _UsageError(f"--error-budget must be in [0, 1], got {merged['error_budget']}")
     if merged["samples"] is not None and merged["samples"] < 1:
         raise _UsageError("--samples must be >= 1")
     if merged["seed"] < 0:
@@ -307,13 +310,7 @@ def cmd_votes(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     mode = {"ballots": "ballots-only", "eligible": "eligible-population"}[cfg["turnout"]]
     table = ingest.load_vote_records(args.input, mode)
-    if cfg["samples"] is not None:
-        scored = [
-            (row.region, _score(row.counts, cfg))
-            for row in sorted(table.rows, key=lambda r: r.region)
-        ]
-    else:
-        scored = analytics.region_contention(table, k_mode=cfg["normalize"])
+    scored = analytics.region_contention(table, score=lambda counts: _score(counts, cfg))
     records = [
         {
             "region": region,
@@ -339,7 +336,6 @@ def cmd_tweets(args: argparse.Namespace) -> int:
         lexicon,
         totals,
         mode="user" if cfg["by_user"] else "tweet",
-        threads=cfg["threads"],
         error_budget=cfg["error_budget"],
     )
     if not series.days:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from fractions import Fraction
@@ -216,19 +216,13 @@ def _stance_for(hashtags: Iterable[str], index: Mapping[str, str]) -> str | None
 
 @dataclass
 class StreamStats:
-    """Counters from one pass over tweet shards."""
+    """Counters from one pass over tweet shards; ``tagged`` counts tweets
+    per stance id."""
 
     lines: int = 0
     parsed: int = 0
     parse_errors: int = 0
     tagged: dict[str, int] = field(default_factory=dict)
-
-    def merge(self, other: StreamStats) -> None:
-        self.lines += other.lines
-        self.parsed += other.parsed
-        self.parse_errors += other.parse_errors
-        for sid, n in other.tagged.items():
-            self.tagged[sid] = self.tagged.get(sid, 0) + n
 
 
 def iter_tweet_stream(
@@ -525,15 +519,19 @@ def _quadrant_row(row: Mapping[str, str]) -> tuple[int, float | None]:
     if not text:
         return count, None
     try:
-        return count, float(text)
+        rating = float(text)
     except ValueError as exc:
         raise MalformedRow(f"importance {text!r} is not a number in row {dict(row)}") from exc
+    if not math.isfinite(rating):
+        raise MalformedRow(f"importance {text!r} is not finite in row {dict(row)}")
+    return count, rating
 
 
 # -- daily tweet counting ------------------------------------------------------------
 
 class _DayAccumulator:
-    """Streaming per-day stance tally; merges commutatively across shards."""
+    """Streaming per-day stance tally; the order tweets arrive in does not
+    change it."""
 
     def __init__(self, lexicon: StanceLexicon, mode: str) -> None:
         if mode not in ("tweet", "user"):
@@ -547,7 +545,6 @@ class _DayAccumulator:
         self.day_counts: dict[date, dict[str | None, int]] = {}
         self.day_users: dict[date, dict[str, set[str]]] = {}
         self.user_stances: dict[str, set[str]] = {}
-        self.stats = StreamStats()
 
     def add(self, day: date, user: str, hashtags: Iterable[str]) -> None:
         stance = _stance_for(hashtags, self.index)
@@ -555,26 +552,19 @@ class _DayAccumulator:
         if bucket is None:
             bucket = self.day_counts[day] = {}
         bucket[stance] = bucket.get(stance, 0) + 1
-        if stance is None:
-            return
-        tagged = self.stats.tagged
-        tagged[stance] = tagged.get(stance, 0) + 1
-        if self.mode == "user":
+        if stance is not None and self.mode == "user":
             self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
             self.user_stances.setdefault(user, set()).add(stance)
 
-    def merge(self, other: _DayAccumulator) -> None:
-        for day, counts in other.day_counts.items():
-            bucket = self.day_counts.setdefault(day, {})
-            for sid, n in counts.items():
-                bucket[sid] = bucket.get(sid, 0) + n
-        for day, users in other.day_users.items():
-            bucket_users = self.day_users.setdefault(day, {})
-            for sid, ids in users.items():
-                bucket_users.setdefault(sid, set()).update(ids)
-        for user, stances in other.user_stances.items():
-            self.user_stances.setdefault(user, set()).update(stances)
-        self.stats.merge(other.stats)
+    def tagged(self) -> dict[str, int]:
+        """Tagged tweets per stance id over every day; stances never tagged
+        are absent."""
+        out: dict[str, int] = {}
+        for bucket in self.day_counts.values():
+            for sid, n in bucket.items():
+                if sid is not None:
+                    out[sid] = out.get(sid, 0) + n
+        return out
 
     def _explicit_counts(self, day: date) -> dict[str, int]:
         if self.mode == "tweet":
@@ -599,17 +589,13 @@ class _DayAccumulator:
             explicit = self._explicit_counts(day)
             tagged_sum = sum(explicit.values())
             total = totals.get(day) if totals else None
-            if total is None:
-                counts = StanceCounts.from_mapping(space, explicit, no_stance=0)
-                days.append(DaySlice(day, counts, has_total=False))
-            else:
-                g0 = total - tagged_sum
-                if g0 < 0:
-                    raise TotalLessThanStanceCounts(
-                        f"{day}: day total {total} < {tagged_sum} stance-tagged"
-                    )
-                counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
-                days.append(DaySlice(day, counts, has_total=True))
+            if total is not None and total < tagged_sum:
+                raise TotalLessThanStanceCounts(
+                    f"{day}: day total {total} < {tagged_sum} stance-tagged"
+                )
+            g0 = 0 if total is None else total - tagged_sum
+            counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
+            days.append(DaySlice(day, counts, has_total=total is not None))
         return DailySeries(self.lexicon.topic, tuple(days))
 
 
@@ -639,38 +625,25 @@ def ingest_tweets(
     totals: Mapping[date, int] | None = None,
     *,
     mode: str = "tweet",
-    threads: int = 1,
     error_budget: float = 0.001,
 ) -> tuple[DailySeries, StreamStats]:
     """Read one or more JSONL shards into a DailySeries plus stream stats.
 
-    Shards are independent single passes merged by commutative addition,
-    so the result does not depend on shard order or thread count.  Lines
-    that fail to parse are skipped and counted; when they exceed
-    ``error_budget`` as a fraction of all lines, the whole run fails.
+    The shards are read in the given order, in one pass, into one tally;
+    the result does not depend on that order.  Lines that fail to parse
+    are skipped and counted; when they exceed ``error_budget`` as a
+    fraction of all lines, the whole run fails.
     """
-
-    def consume(path: str | Path) -> _DayAccumulator:
-        acc = _DayAccumulator(lexicon, mode)
-        add = acc.add
-        for day, user, hashtags in iter_tweet_stream(path, acc.stats):
+    acc = _DayAccumulator(lexicon, mode)
+    stats = StreamStats()
+    add = acc.add
+    for path in paths:
+        for day, user, hashtags in iter_tweet_stream(path, stats):
             add(day, user, hashtags)
-        return acc
-
-    if threads > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(consume, paths))
-    else:
-        partials = [consume(p) for p in paths]
-
-    merged = _DayAccumulator(lexicon, mode)
-    while partials:
-        # release each partial once merged, which bounds peak memory
-        merged.merge(partials.pop())
-    stats = merged.stats
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
         raise ErrorBudgetExceeded(
             f"{stats.parse_errors}/{stats.lines} lines unparseable "
             f"(budget {error_budget:.4%})"
         )
-    return merged.finish(totals), stats
+    stats.tagged = acc.tagged()
+    return acc.finish(totals), stats

@@ -55,6 +55,13 @@ class Stance:
             object.__setattr__(self, "label", self.id)
 
 
+class _StanceIndex(dict):
+    """Stance id -> index map whose unknown ids raise a KeyError naming them."""
+
+    def __missing__(self, stance_id: str) -> int:
+        raise KeyError(f"unknown stance id {stance_id!r}")
+
+
 @dataclass(frozen=True)
 class StanceSpace:
     """The set of explicit stances plus the implicit no-stance sentinel.
@@ -143,12 +150,14 @@ class StanceSpace:
         return (NO_STANCE,) + self.ids
 
     def index_of(self, stance_id: str) -> int:
-        if stance_id == NO_STANCE:
-            return 0
-        try:
-            return self.ids.index(stance_id) + 1
-        except ValueError:
-            raise KeyError(f"unknown stance id {stance_id!r}") from None
+        return self._indices()[stance_id]
+
+    def _indices(self) -> _StanceIndex:
+        """Stance id -> index, with ``__none__`` -> 0.  Built per call and
+        not stored, so the many spaces a poll keeps alive stay small."""
+        indices = _StanceIndex((s.id, i) for i, s in enumerate(self.stances, 1))
+        indices[NO_STANCE] = 0
+        return indices
 
     def is_exclusive(self) -> bool:
         """True when the matrix is exactly the mutually-exclusive pattern."""
@@ -221,9 +230,10 @@ class StanceCounts:
         by_id: Mapping[str, int],
         no_stance: int = 0,
     ) -> StanceCounts:
+        indices = space._indices()
         row = [no_stance] + [0] * space.k
         for sid, count in by_id.items():
-            row[space.index_of(sid)] = count
+            row[indices[sid]] = count
         return cls(space, tuple(row))
 
     @property
@@ -294,8 +304,9 @@ class AssignmentSet:
         held_ids: Iterable[Iterable[str]],
         attributes: Sequence[Mapping[str, str]] | None = None,
     ) -> AssignmentSet:
+        indices = space._indices()
         assignments = tuple(
-            frozenset(space.index_of(sid) for sid in held) or frozenset({0})
+            frozenset(indices[sid] for sid in held) or frozenset({0})
             for held in held_ids
         )
         attrs = tuple(attributes) if attributes is not None else None

@@ -376,8 +376,8 @@ class TestTweetStream:
         shard_a = write(tmp_path, "a.jsonl", "\n".join(all_lines[:9]) + "\n")
         shard_b = write(tmp_path, "b.jsonl", "\n".join(all_lines[9:]) + "\n")
         single, _ = ingest_tweets([whole], dress_lexicon)
-        sharded, _ = ingest_tweets([shard_a, shard_b], dress_lexicon, threads=2)
-        flipped, _ = ingest_tweets([shard_b, shard_a], dress_lexicon, threads=3)
+        sharded, _ = ingest_tweets([shard_a, shard_b], dress_lexicon)
+        flipped, _ = ingest_tweets([shard_b, shard_a], dress_lexicon)
         assert single == sharded == flipped
 
     def test_non_list_hashtags_count_against_budget(self, tmp_path, dress_lexicon):
@@ -458,6 +458,14 @@ class TestSmallLoaders:
         path = write(tmp_path, "quad.csv",
                      "topic,stance,count,importance\nt,a,1,high\nt,b,1,high\n")
         with pytest.raises(MalformedRow):
+            load_quadrant_topics(path)
+
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-Infinity"])
+    def test_quadrant_non_finite_importance(self, tmp_path, rating):
+        # NaN != NaN, so a shared NaN rating must not pass for a conflict
+        path = write(tmp_path, "quad.csv",
+                     f"topic,stance,count,importance\nt,a,1,{rating}\nt,b,1,{rating}\n")
+        with pytest.raises(MalformedRow, match=rf"importance '{rating}' is not finite in row .*'stance': 'a'"):
             load_quadrant_topics(path)
 
 

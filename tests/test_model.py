@@ -285,6 +285,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             AssignmentSet(TWO, (frozenset(),))
 
+    def test_stance_ids_index_in_order_after_the_sentinel(self):
+        space = StanceSpace.exclusive(["x", "y", "z"])
+        assert [space.index_of(sid) for sid in (NO_STANCE, "x", "y", "z")] == [0, 1, 2, 3]
+        by_id = StanceCounts.from_mapping(space, {"z": 5, "x": 2, NO_STANCE: 7})
+        assert by_id.counts == (7, 2, 0, 5)
+        people = AssignmentSet.from_stance_ids(space, [{"z", "y"}, {NO_STANCE}])
+        assert people.assignments == (frozenset({2, 3}), frozenset({0}))
+
+    @pytest.mark.parametrize("build", [
+        lambda: TWO.index_of("c"),
+        lambda: StanceCounts.from_mapping(TWO, {"a": 1, "c": 2}),
+        lambda: AssignmentSet.from_stance_ids(TWO, [{"a"}, {"b", "c"}]),
+    ])
+    def test_unknown_stance_id_is_named(self, build):
+        with pytest.raises(KeyError, match="unknown stance id 'c'"):
+            build()
+
     def test_to_counts_roundtrip(self):
         people = AssignmentSet.from_stance_ids(TWO, [{"a"}, {"a"}, {"b"}, set()])
         assert people.to_counts().counts == (1, 2, 1)
