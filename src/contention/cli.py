@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
@@ -212,6 +213,8 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
         if not isinstance(scale, (list, tuple)) or len(scale) != 2:
             raise _UsageError(f"importance_scale: want two numbers LO HI, got {scale!r}")
         lo, hi = (_coerce("importance_scale", v, float) for v in scale)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _UsageError(f"--importance-scale bounds must be finite, got {lo} {hi}")
         if not lo < hi:
             raise _UsageError(f"--importance-scale must satisfy LO < HI, got {lo} {hi}")
         merged["importance_scale"] = (lo, hi)

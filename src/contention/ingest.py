@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -225,6 +226,9 @@ class StreamStats:
     tagged: dict[str, int] = field(default_factory=dict)
 
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def iter_tweet_stream(
     path: str | Path, stats: StreamStats
 ) -> Iterator[tuple[date, str, tuple[str, ...]]]:
@@ -234,17 +238,23 @@ def iter_tweet_stream(
     A good line holds one JSON object and nothing else but JSON whitespace,
     exactly what ``json.loads`` accepts, with the fields that
     ``TweetRecord.from_json_obj`` requires.  Blank lines are skipped
-    uncounted.  Bad lines are skipped, not fatal; the caller decides
-    whether the accumulated error ratio still fits its budget.
+    uncounted.  Bad lines, a line that is not valid UTF-8 among them, are
+    skipped, not fatal; the caller decides whether the accumulated error
+    ratio still fits its budget.
     """
     decode = json.JSONDecoder().raw_decode
-    with open(path, encoding="utf-8") as handle:
+    # surrogateescape turns each byte that is not valid UTF-8 into a lone
+    # surrogate U+DC80..U+DCFF, which strict UTF-8 never decodes to, so
+    # only the line holding the byte is lost
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             text = line.strip(" \t\n\r")
             if not text or text.isspace():
                 continue
             stats.lines += 1
             try:
+                if not text.isascii() and _ESCAPED_BYTE.search(text):
+                    raise MalformedRow("line is not valid UTF-8")
                 obj, end = decode(text)
                 if end != len(text):
                     raise MalformedRow("trailing data after the JSON value")
@@ -340,18 +350,31 @@ def turnout_adjust(counts: StanceCounts, eligible: int) -> StanceCounts:
 
 def _read_csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[dict[str, str]]:
     """Stream the rows of a CSV file whose header names every ``required``
-    column; a row with fewer fields than the header is malformed."""
+    column, as ``csv.DictReader`` would: blank lines are skipped and a long
+    row keeps its extra fields under the key None.  A row with fewer fields
+    than the header, or text the csv module cannot read, is malformed."""
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise MalformedRow(f"{path}: missing header row")
-        missing = [col for col in required if col not in reader.fieldnames]
-        if missing:
-            raise MalformedRow(f"{path}: header lacks column(s) {missing}")
-        for row in reader:
-            if None in row.values():
-                raise MalformedRow(f"{path}: short row {row}")
-            yield row
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(f"{path}: missing header row")
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise MalformedRow(f"{path}: header lacks column(s) {missing}")
+            width = len(header)
+            for fields in reader:
+                if not fields:
+                    continue
+                row = dict(zip(header, fields))
+                if len(fields) < width:
+                    row.update(dict.fromkeys(header[len(fields):]))
+                    raise MalformedRow(f"{path}: short row {row}")
+                if len(fields) > width:
+                    row[None] = fields[width:]
+                yield row
+        except csv.Error as exc:
+            raise MalformedRow(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def _read_grouped(

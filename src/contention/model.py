@@ -19,6 +19,19 @@ Conventions used throughout:
 All types are frozen; every operation is a pure function, so values are
 safe to share across threads.
 
+Every exclusive space of k stances shares one conflict matrix, held in the
+module memo ``_EXCLUSIVE_MATRICES`` (k -> the all-pairs pattern).  Each
+matrix is built and checked the first time its k is seen and kept for the
+life of the process: sum((k+1)^2) references over the distinct k a run
+meets, instead of one matrix per space.  Sharing the memo across threads
+is safe: the matrices are immutable, and ``dict.setdefault`` makes the
+first one stored for a k the one every caller gets.  A space skips its own
+matrix check only when it holds that very object; any other matrix, even
+an equal one, is checked in full.
+
+numpy is imported by the two samplers when they are first called, so
+loading the package and the closed-form paths never pay for it.
+
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
 """
@@ -27,8 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
-
-import numpy as np
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
 
@@ -62,6 +73,53 @@ class _StanceIndex(dict):
         raise KeyError(f"unknown stance id {stance_id!r}")
 
 
+def _checked_conflicts(
+    conflicts: Iterable[Iterable[object]], size: int
+) -> tuple[tuple[tuple[bool, ...], ...], bool]:
+    """``conflicts`` as a size x size tuple of bools, checked for a zero
+    diagonal, a conflict-free sentinel and symmetry; also whether it is
+    exactly the mutually-exclusive pattern."""
+    matrix = tuple(tuple(map(bool, row)) for row in conflicts)
+    if len(matrix) != size or any(len(row) != size for row in matrix):
+        raise ValueError(f"conflict matrix must be {size}x{size} (index 0 = no stance)")
+    exclusive = True
+    for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
+        if row[i]:
+            raise ValueError("a stance cannot conflict with itself")
+        if row[0] or column[0]:
+            raise ValueError("the no-stance sentinel conflicts with nothing")
+        if row[:i] != column[:i]:
+            j = next(j for j in range(i) if row[j] != column[j])
+            raise ValueError(
+                f"conflict matrix is asymmetric at ({i},{j}); "
+                "fix the input instead of relying on symmetrization"
+            )
+        # with the row symmetric, explicit stances below the diagonal
+        # must all conflict for the mutually-exclusive pattern
+        exclusive = exclusive and all(row[1:i])
+    return matrix, exclusive
+
+
+#: k -> the checked all-pairs conflict matrix over k stances and the sentinel
+_EXCLUSIVE_MATRICES: dict[int, tuple[tuple[bool, ...], ...]] = {}
+
+
+def _exclusive_matrix(k: int) -> tuple[tuple[bool, ...], ...]:
+    """The memo's all-pairs conflict matrix for k stances, built and checked
+    the first time k is asked for."""
+    matrix = _EXCLUSIVE_MATRICES.get(k)
+    if matrix is None:
+        # row i: no conflict with the sentinel or with itself, with all else
+        rows = ((False,) * (k + 1),) + tuple(
+            (False,) + (True,) * (i - 1) + (False,) + (True,) * (k - i) for i in range(1, k + 1)
+        )
+        rows, exclusive = _checked_conflicts(rows, k + 1)
+        if not exclusive:
+            raise AssertionError(f"built a non-exclusive matrix for k={k}")
+        matrix = _EXCLUSIVE_MATRICES.setdefault(k, rows)
+    return matrix
+
+
 @dataclass(frozen=True)
 class StanceSpace:
     """The set of explicit stances plus the implicit no-stance sentinel.
@@ -79,25 +137,12 @@ class StanceSpace:
         ids = [s.id for s in self.stances]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stance ids: {ids}")
-        size = self.k + 1
-        matrix = tuple(tuple(map(bool, row)) for row in self.conflicts)
-        if len(matrix) != size or any(len(row) != size for row in matrix):
-            raise ValueError(f"conflict matrix must be {size}x{size} (index 0 = no stance)")
-        exclusive = True
-        for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
-            if row[i]:
-                raise ValueError("a stance cannot conflict with itself")
-            if row[0] or column[0]:
-                raise ValueError("the no-stance sentinel conflicts with nothing")
-            if row[:i] != column[:i]:
-                j = next(j for j in range(i) if row[j] != column[j])
-                raise ValueError(
-                    f"conflict matrix is asymmetric at ({i},{j}); "
-                    "fix the input instead of relying on symmetrization"
-                )
-            # with the row symmetric, explicit stances below the diagonal
-            # must all conflict for the mutually-exclusive pattern
-            exclusive = exclusive and all(row[1:i])
+        shared = _EXCLUSIVE_MATRICES.get(len(ids))
+        if shared is not None and self.conflicts is shared:
+            # the memo's own matrix for this k, checked when it was stored
+            object.__setattr__(self, "_exclusive", True)
+            return
+        matrix, exclusive = _checked_conflicts(self.conflicts, len(ids) + 1)
         object.__setattr__(self, "conflicts", matrix)
         object.__setattr__(self, "_exclusive", exclusive)
 
@@ -106,12 +151,7 @@ class StanceSpace:
         """Space where every explicit stance conflicts with every other one."""
         labels = labels or {}
         stances = tuple(Stance(sid, labels.get(sid, "")) for sid in stance_ids)
-        k = len(stances)
-        # row i: no conflict with the sentinel or with itself, with all else
-        matrix = ((False,) * (k + 1),) + tuple(
-            (False,) + (True,) * (i - 1) + (False,) + (True,) * (k - i) for i in range(1, k + 1)
-        )
-        return cls(stances, matrix)
+        return cls(stances, _exclusive_matrix(len(stances)))
 
     @classmethod
     def from_conflict_pairs(
@@ -530,6 +570,8 @@ def contention_sampled(
         raise EmptyPopulation("contention is undefined for an empty population")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
+
     space = assignments.space
     # each person's signature index, numbered in order of first appearance;
     # the hit count does not depend on how signatures are numbered
@@ -573,6 +615,8 @@ def sampled_from_counts(
         raise EmptyPopulation("contention is undefined for an empty population")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
+
     space = counts.space
     matrix = np.array(space.conflicts, dtype=bool)
     weights = np.array(counts.counts, dtype=np.float64) / n

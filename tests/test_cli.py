@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import contention
 from contention.cli import main
 
 EX_DATA = 2
@@ -143,6 +146,14 @@ class TestPollCommand:
         assert code == EX_DATA
         assert json.loads(err.strip())["error"] == "UnicodeDecodeError"
 
+    def test_csv_field_over_the_size_limit_is_data_error(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.csv", "topic,stance,count\nt,a," + "x" * 200_000 + "\n")
+        code, out, err = run_cli(["poll", path], capsys)
+        assert code == EX_DATA and out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "MalformedRow"
+        assert record["message"].startswith(f"{path}, line 2: field larger than field limit")
+
     def test_sampled_estimator_deterministic(self, poll_csv, capsys):
         argv = ["poll", poll_csv, "--samples", "20000", "--seed", "9"]
         code_a, out_a, _ = run_cli(argv, capsys)
@@ -267,6 +278,23 @@ class TestTweetsCommand:
         assert code == EX_DATA
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ErrorBudgetExceeded"
 
+    def test_non_utf8_line_counts_against_the_budget(self, tmp_path, capsys):
+        good = tweet_line(1, "2016-06-21T08:00:00Z", "u", ["voteleave"]).encode()
+        stream = tmp_path / "s.jsonl"
+        stream.write_bytes(good + b"\n\xff\xfe\n" + good + b"\n")
+        lexicon = write(tmp_path, "lex.json", json.dumps(BREXIT_LEXICON))
+        code, out, err = run_cli(
+            ["tweets", str(stream), "--lexicon", lexicon, "--error-budget", "0.5"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("2016-06-21,,2,2,")
+        assert err.splitlines()[0] == "# tweets: 2 parsed, 1 parse errors (33.33%)"
+        code, _, err = run_cli(
+            ["tweets", str(stream), "--lexicon", lexicon, "--error-budget", "0.3"], capsys
+        )
+        assert code == EX_DATA
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ErrorBudgetExceeded"
+
     def test_missing_lexicon_is_usage_error(self, tweet_fixture, capsys):
         stream, _, _ = tweet_fixture
         code, _, _ = run_cli(["tweets", stream], capsys)
@@ -318,6 +346,19 @@ class TestQuadrantCommand:
     def test_empty_scale_is_usage_error(self, quadrant_csv, capsys):
         code, _, _ = run_cli(["quadrant", quadrant_csv, "--importance-scale", "5", "5"], capsys)
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize("scale", [("0", "inf"), ("nan", "10"), ("0", "nan"), ("1e309", "1e310")])
+    def test_non_finite_scale_is_usage_error(self, quadrant_csv, scale, capsys):
+        code, out, err = run_cli(["quadrant", quadrant_csv, "--importance-scale", *scale], capsys)
+        assert code == EX_USAGE and out == ""
+        assert "--importance-scale" in err
+
+    @pytest.mark.parametrize("scale", [[0, "inf"], ["-Infinity", 10], [0, 1e309]])
+    def test_non_finite_config_scale_is_usage_error(self, quadrant_csv, tmp_path, scale, capsys):
+        config = write(tmp_path, "cfg.json", json.dumps({"importance_scale": scale}))
+        code, out, err = run_cli(["quadrant", quadrant_csv, "--config", config], capsys)
+        assert code == EX_USAGE and out == ""
+        assert "importance-scale" in err
 
     @pytest.mark.parametrize("row", ["t,a,1,high", ",a,1,5"])
     def test_bad_row_is_data_error(self, tmp_path, row, capsys):
@@ -400,6 +441,59 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "poll" in proc.stdout and "quadrant" in proc.stdout
+
+
+# numpy blocked: the four table and tweet commands must not need it
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from contention.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+try:
+    main(json.loads(sys.argv[2]))
+except ImportError:
+    print("sampling needs numpy")
+"""
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(contention.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = _python("-c", "import contention.cli, sys; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_commands_run_without_numpy(tmp_path, poll_csv, brexit_votes_csv, tweet_fixture):
+    stream, lexicon, totals = tweet_fixture
+    quadrant = write(tmp_path, "quad.csv", "topic,stance,count,importance\nt,a,3,4\nt,b,1,4\n")
+    argvs = [
+        ["poll", poll_csv],
+        ["votes", brexit_votes_csv],
+        ["quadrant", quadrant, "--importance-scale", "0", "10"],
+        ["tweets", stream, "--lexicon", lexicon, "--totals", totals],
+    ]
+    sampled = ["poll", poll_csv, "--samples", "100", "--seed", "1"]
+    proc = _python("-c", _WITHOUT_NUMPY, json.dumps(argvs), json.dumps(sampled))
+    assert proc.returncode == 0, proc.stderr
+    # a header plus the rows of each of the four commands, then the sampled
+    # poll failing at its numpy import
+    assert proc.stdout.count("\n") == 2 + 4 + 2 + 4 + 1
+    assert proc.stdout.endswith("sampling needs numpy\n")
+    assert proc.stderr.startswith("# tweets: 9 parsed")
+
+
+def test_sampled_poll_runs_with_numpy(poll_csv, capsys):
+    code, out, _ = run_cli(["poll", poll_csv, "--samples", "100", "--seed", "1"], capsys)
+    assert code == 0 and out.startswith("topic,n,k,raw,normalized\nevolution,100,2,")
 
 
 # -- golden output ------------------------------------------------------------------

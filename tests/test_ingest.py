@@ -1,10 +1,14 @@
 """Ingestion: poll/vote CSV loaders, hashtag tagging, daily tweet bucketing."""
 
+import csv
 import json
 import random
+import re
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contention.errors import (
     AmbiguousStance,
@@ -21,6 +25,7 @@ from contention.errors import (
 )
 from contention.ingest import (
     ALL_REGIONS,
+    _read_csv_rows,
     StanceLexicon,
     TweetRecord,
     build_daily_counts,
@@ -412,6 +417,21 @@ class TestTweetStream:
         with pytest.raises(ErrorBudgetExceeded):
             ingest_tweets([path], dress_lexicon, error_budget=0.1)
 
+    def test_non_utf8_line_counts_against_budget(self, tmp_path, dress_lexicon):
+        path = tmp_path / "stream.jsonl"
+        escaped = json.dumps({"id": "e", "ts": "2015-02-26T10:00:00Z", "user": "\udcff",
+                              "hashtags": ["whiteandgold"]})
+        path.write_bytes(b"\n".join([self.good_line(1).encode(), b"\xff\xfe",
+                                     escaped.encode(),
+                                     self.good_line(2).encode().replace(b"u2", b"u\xc32"), b""]))
+        stats = StreamStats()
+        assert [user for _, user, _ in iter_tweet_stream(path, stats)] == ["u1", "\udcff"]
+        assert (stats.lines, stats.parsed, stats.parse_errors) == (4, 2, 2)
+        series, _ = ingest_tweets([path], dress_lexicon, error_budget=0.5)
+        assert series.days[0].counts.explicit == (2, 0)
+        with pytest.raises(ErrorBudgetExceeded):
+            ingest_tweets([path], dress_lexicon, error_budget=0.4)
+
     @pytest.mark.parametrize("mode", ["tweet", "user"])
     def test_no_shards(self, dress_lexicon, mode):
         series, stats = ingest_tweets([], dress_lexicon, mode=mode)
@@ -492,3 +512,75 @@ def test_grouped_csv_row_rule(tmp_path, loader, bad):
     path = write(tmp_path, "in.csv", f"{header}\n{good}\n{BAD_ROWS[bad].format(tail=tail)}\n")
     with pytest.raises(MalformedRow):
         load(path)
+
+
+def dictreader_rows(path, required):
+    """The row reader as it stood on ``csv.DictReader``: the behaviour
+    ``_read_csv_rows`` keeps."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise MalformedRow(f"{path}: missing header row")
+        missing = [col for col in required if col not in reader.fieldnames]
+        if missing:
+            raise MalformedRow(f"{path}: header lacks column(s) {missing}")
+        for row in reader:
+            if None in row.values():
+                raise MalformedRow(f"{path}: short row {row}")
+            yield row
+
+
+def rows_or_error(read):
+    rows = []
+    try:
+        for row in read():
+            rows.append(row)
+    except (MalformedRow, csv.Error) as exc:
+        return rows, type(exc).__name__, str(exc)
+    return rows, None, None
+
+
+@settings(max_examples=300)
+@given(
+    header=st.sampled_from(["", "a,b\n", "a,b,a\n", "b,a\r\n", "\na,b\n", '"a","b,c"\n']),
+    body=st.text(st.sampled_from(["a", "b", "é", ",", '"', " ", "\n", "\r"]), max_size=30),
+)
+def test_csv_rows_match_dictreader(tmp_path_factory, header, body):
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(header + body, encoding="utf-8", newline="")
+    assert rows_or_error(lambda: _read_csv_rows(path, ("a",))) == \
+        rows_or_error(lambda: dictreader_rows(path, ("a",)))
+
+
+class TestCsvRows:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path, "p.csv", "topic,stance,count\n\nt,a,3\n\n\nt,b,1\n\n")
+        [(topic, counts)] = load_poll_topline(path)
+        assert topic == "t" and counts.counts == (0, 3, 1)
+
+    def test_long_row_keeps_extra_fields_under_none(self, tmp_path):
+        path = write(tmp_path, "p.csv", "topic,stance,count\nt,a,3,x,y\nt,b,1\n")
+        assert list(_read_csv_rows(path, ("topic",))) == [
+            {"topic": "t", "stance": "a", "count": "3", None: ["x", "y"]},
+            {"topic": "t", "stance": "b", "count": "1"},
+        ]
+        assert load_poll_topline(path)[0][1].counts == (0, 3, 1)
+        bad = write(tmp_path, "bad.csv", "topic,stance,count\nt,a,three,x\n")
+        with pytest.raises(MalformedRow, match=(
+            r"count 'three' is not an integer in row "
+            r"\{'topic': 't', 'stance': 'a', 'count': 'three', None: \['x'\]\}$"
+        )):
+            load_poll_topline(bad)
+
+    def test_short_row_message_shows_missing_fields_as_none(self, tmp_path):
+        path = write(tmp_path, "p.csv", "topic,stance,count\nt,a,1\nt,b\n")
+        with pytest.raises(MalformedRow) as info:
+            load_poll_topline(path)
+        assert str(info.value) == (
+            f"{path}: short row {{'topic': 't', 'stance': 'b', 'count': None}}"
+        )
+
+    def test_field_over_the_size_limit_is_malformed(self, tmp_path):
+        path = write(tmp_path, "p.csv", "topic,stance,count\nt,a,1\nt,b," + "9" * 200_000 + "\n")
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}, line 3: field larger than field limit"):
+            load_poll_topline(path)

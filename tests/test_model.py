@@ -1,9 +1,11 @@
 """Core model: spec'd examples with frozen expected values, plus contracts."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from contention import model
 from contention.errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
 from contention.model import (
     NO_STANCE,
@@ -311,3 +313,96 @@ class TestValidation:
         people = AssignmentSet.from_stance_ids(space, [{"a", "b"}])
         with pytest.raises(ValueError):
             people.to_counts()
+
+
+class TestSharedExclusiveMatrix:
+    """Every exclusive space of k stances holds the one checked all-pairs
+    matrix for that k; any other matrix is checked in full."""
+
+    @staticmethod
+    def ids(k):
+        return [f"s{i}" for i in range(k)]
+
+    def test_spaces_of_equal_k_share_one_matrix(self):
+        a = StanceSpace.exclusive(["leave", "remain", "undecided"])
+        b = StanceSpace.exclusive(["x", "y", "z"], {"x": "Ex"})
+        assert a.conflicts is b.conflicts
+        assert a.is_exclusive() and b.is_exclusive()
+        assert StanceSpace.exclusive(["x", "y"]).conflicts is not a.conflicts
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 40])
+    def test_shared_matrix_is_the_all_pairs_pattern(self, k):
+        ids = self.ids(k)
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[:i]]
+        built = StanceSpace.from_conflict_pairs(ids, pairs)
+        space = StanceSpace.exclusive(ids)
+        assert space == built and hash(space) == hash(built)
+        assert all(type(c) is bool for row in space.conflicts for c in row)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The size of every matrix checked in full from here on."""
+        sizes = []
+        check = model._checked_conflicts
+        monkeypatch.setattr(model, "_checked_conflicts",
+                            lambda conflicts, size: sizes.append(size) or check(conflicts, size))
+        return sizes
+
+    def test_each_k_is_checked_once(self, monkeypatch, checked):
+        monkeypatch.setattr(model, "_EXCLUSIVE_MATRICES", {})
+        for _ in range(3):
+            StanceSpace.exclusive(self.ids(3))
+            StanceSpace.exclusive(self.ids(5))
+        assert checked == [4, 6]
+
+    def test_equal_matrix_of_another_object_is_checked_in_full(self, checked):
+        space = StanceSpace.exclusive(self.ids(3))
+        shared = space.conflicts
+        checked.clear()
+        copy = StanceSpace(space.stances, tuple(tuple(list(row)) for row in shared))
+        as_ints = StanceSpace(space.stances, [[int(c) for c in row] for row in shared])
+        assert checked == [4, 4]
+        assert copy.conflicts == shared and copy.conflicts is not shared
+        assert as_ints.conflicts == shared
+        assert all(type(c) is bool for row in as_ints.conflicts for c in row)
+        assert copy.is_exclusive() and as_ints.is_exclusive()
+
+    @pytest.mark.parametrize("flip, message", [
+        ((1, 2), "asymmetric"),
+        ((2, 2), "itself"),
+        ((0, 3), "no-stance"),
+    ])
+    def test_bad_matrix_of_a_memoised_k_is_rejected(self, flip, message):
+        space = StanceSpace.exclusive(self.ids(3))
+        assert model._EXCLUSIVE_MATRICES[3] is space.conflicts
+        rows = [list(row) for row in space.conflicts]
+        i, j = flip
+        rows[i][j] = not rows[i][j]
+        with pytest.raises(ValueError, match=message):
+            StanceSpace(space.stances, tuple(map(tuple, rows)))
+        # the memo's own matrix is untouched
+        assert StanceSpace.exclusive(self.ids(3)).conflicts == space.conflicts
+        assert space.conflicts[i][j] != rows[i][j]
+
+    def test_missing_matrix_of_an_unseen_k_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(model, "_EXCLUSIVE_MATRICES", {})
+        with pytest.raises(TypeError):
+            StanceSpace(StanceSpace.exclusive(["a"]).stances + (model.Stance("b"),), None)
+
+    def test_memo_matrix_of_another_k_is_checked(self):
+        two = StanceSpace.exclusive(["a", "b"]).conflicts
+        with pytest.raises(ValueError, match="must be 4x4"):
+            StanceSpace(StanceSpace.exclusive(self.ids(3)).stances, two)
+
+    def test_fields_equality_hash_and_repr_are_unchanged(self):
+        assert [f.name for f in fields(StanceSpace)] == ["stances", "conflicts", "_exclusive"]
+        space = StanceSpace.exclusive(["a", "b"], {"a": "Yes"})
+        assert repr(space) == (
+            "StanceSpace(stances=(Stance(id='a', label='Yes'), Stance(id='b', label='b')), "
+            "conflicts=((False, False, False), (False, False, True), (False, True, False)))"
+        )
+        direct = StanceSpace(space.stances, ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+        assert direct == space and hash(direct) == hash(space)
+        assert space != StanceSpace.exclusive(["a", "b"])
+        assert space != StanceSpace.from_conflict_pairs(["a", "b"], [], {"a": "Yes"})
+        assert {space, direct} == {space}

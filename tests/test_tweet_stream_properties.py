@@ -4,7 +4,9 @@ The reference decodes each line with ``json.loads``, builds a
 ``TweetRecord`` with ``TweetRecord.from_json_obj``, tags it with
 ``tag_tweet_stance`` and counts days with ``build_daily_counts``.
 ``ingest_tweets`` must agree with it on every series, every stream
-counter and every error, whatever the shard split and mode.
+counter and every error, whatever the shard split and mode.  A line that
+is not valid UTF-8 is one malformed line to both; a valid line keeps its
+result, JSON ``\\udcxx`` escapes included.
 """
 
 import json
@@ -58,8 +60,14 @@ def reference_ingest(paths, lexicon, totals, mode, error_budget):
     stats = StreamStats()
     records = []
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
+        with open(path, "rb") as handle:
+            for raw in handle:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    stats.lines += 1
+                    stats.parse_errors += 1
+                    continue
                 if not line.strip():
                     continue
                 stats.lines += 1
@@ -119,17 +127,37 @@ def tweet_objects(draw):
     return obj
 
 
+# bytes that are not valid UTF-8 wherever they land: a lone continuation
+# byte, bytes UTF-8 never uses, an encoded surrogate, a cut-off sequence
+BAD_BYTES = [b"\x80", b"\xff\xfe", b"\xed\xb2\x80", b"\xc3", b"\xe2\x82"]
+
+
 @st.composite
 def lines(draw):
-    kind = draw(st.sampled_from(["tweet"] * 6 + ["blank", "odd"]))
+    """One shard line as bytes."""
+    kind = draw(st.sampled_from(["tweet"] * 6 + ["blank", "odd", "bad-bytes", "escapes"]))
     if kind == "blank":
-        return draw(st.sampled_from(["", "  ", "\t", "\x0c", "\u2003", " \x0c "]))
+        return draw(st.sampled_from(["", "  ", "\t", "\x0c", "\u2003", " \x0c "])).encode()
     if kind == "odd":
-        return draw(st.sampled_from(["{broken", "[]", "5", "null", '"tweet"', "{}"]))
-    text = json.dumps(draw(tweet_objects()), ensure_ascii=draw(st.booleans()))
+        return draw(st.sampled_from(["{broken", "[]", "5", "null", '"tweet"', "{}"])).encode()
+    obj = draw(tweet_objects())
+    if kind == "escapes":
+        # lone surrogates reach the text only as ASCII \udcxx escapes
+        obj["user"] = draw(st.sampled_from(["\udc80", "\udcff", "u\udcfe"]))
+        return json.dumps(obj).encode()
+    if kind == "bad-bytes":
+        obj["user"] = "@"
+    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
     before = draw(st.sampled_from(["", " ", "\t", "\ufeff", "\x0c"]))
     after = draw(st.sampled_from(["", " ", "\t ", " x", "{}", "\x0c", "\u2003"]))
-    return before + text + after
+    line = (before + text + after).encode()
+    if kind == "bad-bytes":
+        # inside a JSON string, where the decoder alone would accept the
+        # escaped byte, or anywhere in the line
+        in_string = line.index(b'"@"') + 1
+        at = draw(st.just(in_string) | st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(BAD_BYTES)) + line[at:]
+    return line
 
 
 shard_sets = st.lists(st.lists(lines(), max_size=12), min_size=1, max_size=4)
@@ -149,7 +177,7 @@ def test_ingest_matches_reference_path(shards, mode, totals, newline, error_budg
         paths = []
         for i, shard in enumerate(shards):
             path = Path(tmp) / f"shard{i}.jsonl"
-            path.write_text("".join(line + newline for line in shard), encoding="utf-8", newline="")
+            path.write_bytes(b"".join(line + newline.encode() for line in shard))
             paths.append(path)
         expected = outcome(lambda: reference_ingest(paths, LEXICON, totals, mode, error_budget))
         got = outcome(lambda: ingest_tweets(paths, LEXICON, totals, mode=mode,
