@@ -3,7 +3,7 @@ and contention-vs-importance quadrant points.
 
 Everything here is a pure transformation over immutable inputs; per-day
 and per-region work is independent and the output order is fixed (sorted
-by date or region id) so results are stable under any parallel schedule.
+by date or region id).
 """
 
 from __future__ import annotations

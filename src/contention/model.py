@@ -23,11 +23,13 @@ Every exclusive space of k stances shares one conflict matrix, held in the
 module memo ``_EXCLUSIVE_MATRICES`` (k -> the all-pairs pattern).  Each
 matrix is built and checked the first time its k is seen and kept for the
 life of the process: sum((k+1)^2) references over the distinct k a run
-meets, instead of one matrix per space.  Sharing the memo across threads
-is safe: the matrices are immutable, and ``dict.setdefault`` makes the
-first one stored for a k the one every caller gets.  A space skips its own
-matrix check only when it holds that very object; any other matrix, even
-an equal one, is checked in full.
+meets, instead of one matrix per space.  A space skips its own matrix
+check only when it holds that very object; any other matrix, even an
+equal one, is checked in full.
+
+Held sets are interned per ``AssignmentSet``: a population has few distinct
+held sets and many people, so each distinct set is built, checked and
+turned into a bitmask once, and the scorers group people by set.
 
 numpy is imported by the two samplers when they are first called, so
 loading the package and the closed-form paths never pay for it.
@@ -38,8 +40,9 @@ size; the single final float division carries relative error ~1e-16.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
 
@@ -323,17 +326,17 @@ class AssignmentSet:
 
     def __post_init__(self) -> None:
         k = self.space.k
-        cleaned = []
-        for held in self.assignments:
-            held = frozenset(held)
+        # each person keeps their own frozenset; each distinct one is checked
+        # once, in order of first appearance, so the first bad person raises
+        cleaned = tuple(map(frozenset, self.assignments))
+        for held in dict.fromkeys(cleaned):
             if not held:
                 raise ValueError("every person holds at least the no-stance sentinel")
             if 0 in held and len(held) > 1:
                 raise ValueError("no explicit stance can be held jointly with no-stance")
             if any(i < 0 or i > k for i in held):
                 raise ValueError(f"stance index out of range in {sorted(held)}")
-            cleaned.append(held)
-        object.__setattr__(self, "assignments", tuple(cleaned))
+        object.__setattr__(self, "assignments", cleaned)
         if self.attributes is not None and len(self.attributes) != len(cleaned):
             raise ValueError("attributes must align one-to-one with assignments")
 
@@ -344,13 +347,18 @@ class AssignmentSet:
         held_ids: Iterable[Iterable[str]],
         attributes: Sequence[Mapping[str, str]] | None = None,
     ) -> AssignmentSet:
+        """People from their held stance ids; equal id tuples share one frozenset."""
         indices = space._indices()
-        assignments = tuple(
-            frozenset(indices[sid] for sid in held) or frozenset({0})
-            for held in held_ids
-        )
+        built: dict[tuple[str, ...], frozenset[int]] = {}
+        assignments = []
+        for held in held_ids:
+            key = tuple(held)
+            indexed = built.get(key)
+            if indexed is None:
+                indexed = built[key] = frozenset(indices[sid] for sid in key) or frozenset({0})
+            assignments.append(indexed)
         attrs = tuple(attributes) if attributes is not None else None
-        return cls(space, assignments, attrs)
+        return cls(space, tuple(assignments), attrs)
 
     @property
     def n(self) -> int:
@@ -358,16 +366,15 @@ class AssignmentSet:
 
     @property
     def observed_k(self) -> int:
-        held = set().union(*self.assignments) if self.assignments else set()
-        return len(held - {0})
+        return len(set().union(*set(self.assignments)) - {0})
 
     def to_counts(self) -> StanceCounts:
         """Derive StanceCounts; requires every person to hold exactly one stance."""
         row = [0] * (self.space.k + 1)
-        for held in self.assignments:
+        for held, size in Counter(self.assignments).items():
             if len(held) != 1:
                 raise ValueError("counts are only derivable when everyone holds exactly one stance")
-            row[next(iter(held))] += 1
+            row[next(iter(held))] += size
         return StanceCounts(self.space, tuple(row), self.filter)
 
 
@@ -483,22 +490,16 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     )
 
 
-def _held_masks(assignments: AssignmentSet) -> Iterator[int]:
-    """Each person's held-stance bitmask, in person order."""
-    for held in assignments.assignments:
-        mask = 0
-        for i in held:
-            mask |= 1 << i
-        yield mask
+def _held_mask(held: frozenset[int]) -> int:
+    """Bitmask of the stance indices in one held set."""
+    return sum(1 << i for i in held)
 
 
 def _signature_groups(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
-    """Group people by held-stance bitmask; returns (masks, counts)."""
-    tally: dict[int, int] = {}
-    for mask in _held_masks(assignments):
-        tally[mask] = tally.get(mask, 0) + 1
-    masks = sorted(tally)
-    return masks, [tally[m] for m in masks]
+    """Group people by held set; returns one bitmask and one head count per
+    distinct set."""
+    tally = Counter(assignments.assignments)
+    return [_held_mask(held) for held in tally], list(tally.values())
 
 
 def _opposing_masks(space: StanceSpace, masks: Sequence[int]) -> list[int]:
@@ -575,13 +576,10 @@ def contention_sampled(
     space = assignments.space
     # each person's signature index, numbered in order of first appearance;
     # the hit count does not depend on how signatures are numbered
-    sig_index: dict[int, int] = {}
-    person_sig = np.fromiter(
-        (sig_index.setdefault(mask, len(sig_index)) for mask in _held_masks(assignments)),
-        dtype=np.int64,
-        count=n,
-    )
-    masks = list(sig_index)
+    people = assignments.assignments
+    sig_index = {held: i for i, held in enumerate(dict.fromkeys(people))}
+    person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=np.int64, count=n)
+    masks = [_held_mask(held) for held in sig_index]
     conflict = np.array(
         [[bool(b & opp) for b in masks] for opp in _opposing_masks(space, masks)], dtype=bool
     )
@@ -663,7 +661,7 @@ def _restrict_counts(counts: StanceCounts, flt: SubpopulationFilter) -> StanceCo
 
 
 def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) -> AssignmentSet:
-    person_attrs = assignments.attributes or tuple({} for _ in assignments.assignments)
+    person_attrs = assignments.attributes or ({},) * assignments.n
     known = {"stance"}
     for attrs in person_attrs:
         known.update(attrs)
@@ -671,25 +669,22 @@ def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) 
     if unknown:
         raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
 
-    space = assignments.space
+    all_ids = assignments.space.all_ids
+    criteria = dict(flt.criteria)
+    stance_ok = {}
+    if "stance" in criteria:
+        # decided once per distinct held set; other criteria once per person
+        stance_ok = {held: not criteria["stance"].isdisjoint(all_ids[i] for i in held)
+                     for held in set(assignments.assignments)}
     kept_held = []
     kept_attrs = []
     for held, attrs in zip(assignments.assignments, person_attrs):
-        ok = True
-        for attr, allowed in flt.criteria:
-            if attr == "stance":
-                held_ids = {space.all_ids[i] for i in held}
-                if not held_ids & allowed:
-                    ok = False
-                    break
-            elif attrs.get(attr) not in allowed:
-                ok = False
-                break
-        if ok:
+        if all(stance_ok[held] if attr == "stance" else attrs.get(attr) in allowed
+               for attr, allowed in flt.criteria):
             kept_held.append(held)
             kept_attrs.append(attrs)
     return AssignmentSet(
-        space,
+        assignments.space,
         tuple(kept_held),
         tuple(kept_attrs) if assignments.attributes is not None else None,
         flt,

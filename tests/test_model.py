@@ -1,6 +1,7 @@
 """Core model: spec'd examples with frozen expected values, plus contracts."""
 
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -406,3 +407,42 @@ class TestSharedExclusiveMatrix:
         assert space != StanceSpace.exclusive(["a", "b"])
         assert space != StanceSpace.from_conflict_pairs(["a", "b"], [], {"a": "Yes"})
         assert {space, direct} == {space}
+
+
+class TestInternedAssignments:
+    """Each distinct held set is built and checked once; every person keeps
+    the frozenset they came with."""
+
+    VALID = (frozenset({1}), frozenset({2}), frozenset({0}), frozenset({1, 2})) * 2500
+
+    def test_equal_id_tuples_share_one_frozenset(self):
+        people = AssignmentSet.from_stance_ids(TWO, [("a",), ("a", "b"), (), ("a",), ["a", "b"], ()])
+        first, both, none, *again = people.assignments
+        assert again[0] is first and again[1] is both and again[2] is none
+        assert people.assignments == (
+            frozenset({1}), frozenset({1, 2}), frozenset({0}),
+            frozenset({1}), frozenset({1, 2}), frozenset({0}),
+        )
+
+    @pytest.mark.parametrize("bad, message", [
+        (frozenset(), "every person holds at least the no-stance sentinel"),
+        (frozenset({0, 2}), "no explicit stance can be held jointly with no-stance"),
+        (frozenset({1, 3}), "stance index out of range in [1, 3]"),
+        ([-1], "stance index out of range in [-1]"),
+    ])
+    def test_invalid_set_after_many_valid_ones_is_rejected(self, bad, message):
+        assert len(self.VALID) == 10**4
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AssignmentSet(TWO, (*self.VALID, bad, *self.VALID))
+
+    def test_first_invalid_person_names_the_error(self):
+        later = [frozenset(), *(frozenset({i}) for i in range(3, 60))]
+        with pytest.raises(ValueError, match="^no explicit stance can be held jointly"):
+            AssignmentSet(TWO, (*self.VALID, frozenset({0, 1}), *later, frozenset({0, 1})))
+
+    def test_each_person_keeps_their_own_frozenset(self):
+        people = AssignmentSet(TWO, (frozenset({True}), [1]))
+        assert repr(people.assignments) == "(frozenset({True}), frozenset({1}))"
+        given = (frozenset({1}), frozenset({1}))
+        kept = AssignmentSet(TWO, given).assignments
+        assert kept[0] is given[0] and kept[1] is given[1]

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contention import model
 from contention.model import (
+    NO_STANCE,
     AssignmentSet,
     StanceCounts,
     StanceSpace,
+    SubpopulationFilter,
     contention_exclusive,
     contention_general,
+    contention_sampled,
     max_contention,
+    restrict,
 )
 
 from conftest import (
@@ -164,3 +169,142 @@ def test_general_raw_can_exceed_exclusive_bound():
     space = StanceSpace.from_conflict_pairs(["a", "b"], [("a", "b")])
     everyone_torn = AssignmentSet.from_stance_ids(space, [{"a", "b"}] * 4)
     assert contention_general(everyone_torn).raw == 1.0 > max_contention(2)
+
+
+# -- reference: the per-person walk the interned AssignmentSet replaced ------------
+
+def _reference_masks(people):
+    """Each person's held-stance bitmask, in person order."""
+    for held in people.assignments:
+        mask = 0
+        for i in held:
+            mask |= 1 << i
+        yield mask
+
+
+def _reference_observed_k(people):
+    held = set().union(*people.assignments) if people.assignments else set()
+    return len(held - {0})
+
+
+def _reference_general(people, k_mode):
+    tally = {}
+    for mask in _reference_masks(people):
+        tally[mask] = tally.get(mask, 0) + 1
+    masks = sorted(tally)
+    sizes = [tally[m] for m in masks]
+    opposing = model._opposing_masks(people.space, masks)
+    total = 0
+    for a in range(len(masks)):
+        if masks[a] & opposing[a]:
+            total += sizes[a] * sizes[a]
+        for b in range(a + 1, len(masks)):
+            if masks[b] & opposing[a]:
+                total += 2 * sizes[a] * sizes[b]
+    n = people.n
+    k = model._norm_k(people.space.k, _reference_observed_k(people), k_mode)
+    return model._result_from_ratio(total, n * n, k=k, population=n, method="general-exact",
+                                    flt=people.filter)
+
+
+def _reference_sampled(people, samples, seed, k_mode):
+    import numpy as np
+
+    n = people.n
+    sig_index = {}
+    person_sig = np.fromiter(
+        (sig_index.setdefault(mask, len(sig_index)) for mask in _reference_masks(people)),
+        dtype=np.int64, count=n,
+    )
+    masks = list(sig_index)
+    opposing = model._opposing_masks(people.space, masks)
+    conflict = np.array([[bool(b & opp) for b in masks] for opp in opposing], dtype=bool)
+    rng = np.random.default_rng(seed)
+    first = person_sig[rng.integers(0, n, size=samples)]
+    second = person_sig[rng.integers(0, n, size=samples)]
+    hits = int(conflict[first, second].sum())
+    k = model._norm_k(people.space.k, _reference_observed_k(people), k_mode)
+    return model._result_from_ratio(hits, samples, k=k, population=n, method="general-sampled",
+                                    samples=samples, seed=seed, flt=people.filter)
+
+
+def _reference_to_counts(people):
+    row = [0] * (people.space.k + 1)
+    for held in people.assignments:
+        if len(held) != 1:
+            raise ValueError("counts are only derivable when everyone holds exactly one stance")
+        row[next(iter(held))] += 1
+    return StanceCounts(people.space, tuple(row), people.filter)
+
+
+def _reference_restrict(people, flt):
+    person_attrs = people.attributes or tuple({} for _ in people.assignments)
+    space = people.space
+    kept_held, kept_attrs = [], []
+    for held, attrs in zip(people.assignments, person_attrs):
+        ok = True
+        for attr, allowed in flt.criteria:
+            if attr == "stance":
+                if not {space.all_ids[i] for i in held} & allowed:
+                    ok = False
+                    break
+            elif attrs.get(attr) not in allowed:
+                ok = False
+                break
+        if ok:
+            kept_held.append(held)
+            kept_attrs.append(attrs)
+    return AssignmentSet(space, tuple(kept_held),
+                         tuple(kept_attrs) if people.attributes is not None else None, flt)
+
+
+def _outcome(build):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return build()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def repeated_populations(draw):
+    """People drawn from a small pool of held sets, so sets repeat.  A person
+    may write index 0 or 1 as False or True: an equal set whose repr differs."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    ids = [f"s{i}" for i in range(1, k + 1)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                          .filter(lambda p: p[0] != p[1]), max_size=8))
+    space = StanceSpace.from_conflict_pairs(ids, pairs)
+    explicit = st.frozensets(st.integers(min_value=1, max_value=k), min_size=1, max_size=3)
+    pool = draw(st.lists(st.just(frozenset({0})) | explicit, min_size=1, max_size=6))
+    people = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=40))
+    held = tuple(frozenset(bool(i) if i < 2 else i for i in h) if as_bool else h for h, as_bool in people)
+    attrs = None
+    if draw(st.booleans()):
+        attrs = tuple({"region": draw(st.sampled_from("ns"))} for _ in held)
+    criteria = {}
+    if draw(st.booleans()):
+        criteria["stance"] = draw(st.sets(st.sampled_from([NO_STANCE, *ids])))
+    if attrs is not None and draw(st.booleans()):
+        criteria["region"] = draw(st.sets(st.sampled_from("ns")))
+    return AssignmentSet(space, held, attrs), held, SubpopulationFilter.of(**criteria)
+
+
+@settings(deadline=None)
+@given(repeated_populations(), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["declared", "observed"]))
+def test_interned_sets_match_per_person_reference(case, seed, k_mode):
+    """Grouping people by distinct held set gives the same values, reprs and
+    errors as walking every person: for the exact and sampled scores, the
+    observed k, counts and restrict."""
+    people, held, flt = case
+    assert repr(people.assignments) == repr(held)
+    for result, reference in [
+        (contention_general(people, k_mode=k_mode), _reference_general(people, k_mode)),
+        (contention_sampled(people, 300, seed, k_mode=k_mode), _reference_sampled(people, 300, seed, k_mode)),
+        (people.observed_k, _reference_observed_k(people)),
+        (_outcome(people.to_counts), _outcome(lambda: _reference_to_counts(people))),
+        (restrict(people, flt), _reference_restrict(people, flt)),
+    ]:
+        assert result == reference
+        assert repr(result) == repr(reference)
