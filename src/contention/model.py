@@ -366,7 +366,7 @@ class AssignmentSet:
 
     @property
     def observed_k(self) -> int:
-        return len(set().union(*set(self.assignments)) - {0})
+        return len(set().union(*self.assignments) - {0})
 
     def to_counts(self) -> StanceCounts:
         """Derive StanceCounts; requires every person to hold exactly one stance."""
@@ -490,16 +490,14 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     )
 
 
-def _held_mask(held: frozenset[int]) -> int:
-    """Bitmask of the stance indices in one held set."""
-    return sum(1 << i for i in held)
-
-
-def _signature_groups(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
-    """Group people by held set; returns one bitmask and one head count per
-    distinct set."""
+def _signature_groups(
+    assignments: AssignmentSet,
+) -> tuple[list[frozenset[int]], list[int], list[int]]:
+    """Group people by held set in order of first appearance; returns the
+    distinct sets, the bitmask of each and the head count of each."""
     tally = Counter(assignments.assignments)
-    return [_held_mask(held) for held in tally], list(tally.values())
+    masks = [sum(1 << i for i in held) for held in tally]
+    return list(tally), masks, list(tally.values())
 
 
 def _opposing_masks(space: StanceSpace, masks: Sequence[int]) -> list[int]:
@@ -523,7 +521,7 @@ def _conflicting_ordered_pairs(assignments: AssignmentSet) -> int:
     pairs is still one pair) and costs O(n*k + m^2) for m signatures
     instead of O(n^2) person pairs.
     """
-    masks, sizes = _signature_groups(assignments)
+    _, masks, sizes = _signature_groups(assignments)
     opposing = _opposing_masks(assignments.space, masks)
     total = 0
     for a in range(len(masks)):
@@ -576,10 +574,10 @@ def contention_sampled(
     space = assignments.space
     # each person's signature index, numbered in order of first appearance;
     # the hit count does not depend on how signatures are numbered
+    held_sets, masks, _ = _signature_groups(assignments)
+    sig_index = {held: i for i, held in enumerate(held_sets)}
     people = assignments.assignments
-    sig_index = {held: i for i, held in enumerate(dict.fromkeys(people))}
     person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=np.int64, count=n)
-    masks = [_held_mask(held) for held in sig_index]
     conflict = np.array(
         [[bool(b & opp) for b in masks] for opp in _opposing_masks(space, masks)], dtype=bool
     )
@@ -652,9 +650,8 @@ def _restrict_counts(counts: StanceCounts, flt: SubpopulationFilter) -> StanceCo
         raise UnknownAttribute(f"counts only resolve the 'stance' attribute, not {unknown}")
     if flt.is_always_true:
         return StanceCounts(counts.space, counts.counts, flt)
-    allowed = dict(flt.criteria)["stance"]
     kept = tuple(
-        c if sid in allowed else 0
+        c if all(sid in allowed for _, allowed in flt.criteria) else 0
         for sid, c in zip(counts.space.all_ids, counts.counts)
     )
     return StanceCounts(counts.space, kept, flt)
@@ -670,17 +667,20 @@ def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) 
         raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
 
     all_ids = assignments.space.all_ids
-    criteria = dict(flt.criteria)
-    stance_ok = {}
-    if "stance" in criteria:
-        # decided once per distinct held set; other criteria once per person
-        stance_ok = {held: not criteria["stance"].isdisjoint(all_ids[i] for i in held)
-                     for held in set(assignments.assignments)}
+    stance = [allowed for attr, allowed in flt.criteria if attr == "stance"]
+    others = [(attr, allowed) for attr, allowed in flt.criteria if attr != "stance"]
+    # every stance criterion must hold; they are decided once per distinct
+    # held set, the other criteria once per person
+    stance_ok = {
+        held: all(not allowed.isdisjoint(all_ids[i] for i in held) for allowed in stance)
+        for held in set(assignments.assignments)
+    } if stance else {}
     kept_held = []
     kept_attrs = []
     for held, attrs in zip(assignments.assignments, person_attrs):
-        if all(stance_ok[held] if attr == "stance" else attrs.get(attr) in allowed
-               for attr, allowed in flt.criteria):
+        if (not stance or stance_ok[held]) and all(
+            attrs.get(attr) in allowed for attr, allowed in others
+        ):
             kept_held.append(held)
             kept_attrs.append(attrs)
     return AssignmentSet(

@@ -210,6 +210,16 @@ class TestRestrict:
         assert stanced.n == 2
         assert contention_general(stanced).raw == 0.5
 
+    def test_every_repeated_stance_criterion_must_hold(self):
+        """A filter naming "stance" twice keeps only who matches both."""
+        both = SubpopulationFilter((("stance", frozenset({"a"})), ("stance", frozenset({"b"}))))
+        space = StanceSpace.from_conflict_pairs(["a", "b"], [("a", "b")])
+        people = AssignmentSet.from_stance_ids(space, [{"a"}, {"b"}, {"a", "b"}, set()])
+        assert restrict(people, both).assignments == (frozenset({1, 2}),)
+        assert restrict(counts(10, 20, 30), both).counts == (0, 0, 0)
+        either = SubpopulationFilter((("stance", frozenset({"a", "b"})), ("stance", frozenset({"b"}))))
+        assert restrict(counts(10, 20, 30), either).counts == (0, 0, 30)
+
     def test_assignment_unknown_attribute(self):
         people = AssignmentSet.from_stance_ids(TWO, [{"a"}])
         with pytest.raises(UnknownAttribute):

@@ -287,7 +287,12 @@ def repeated_populations(draw):
         criteria["stance"] = draw(st.sets(st.sampled_from([NO_STANCE, *ids])))
     if attrs is not None and draw(st.booleans()):
         criteria["region"] = draw(st.sets(st.sampled_from("ns")))
-    return AssignmentSet(space, held, attrs), held, SubpopulationFilter.of(**criteria)
+    flt = SubpopulationFilter.of(**criteria)
+    if draw(st.booleans()):
+        # a second "stance" entry, which .of() cannot express
+        second = draw(st.frozensets(st.sampled_from([NO_STANCE, *ids])))
+        flt = SubpopulationFilter(flt.criteria + (("stance", second),))
+    return AssignmentSet(space, held, attrs), held, flt
 
 
 @settings(deadline=None)
