@@ -23,7 +23,9 @@ File schemas (UTF-8, RFC-4180 quoting):
 
 Poll, vote and quadrant rows are grouped by topic (region) and stance
 (option); a row with a missing field, an empty key or stance, or a repeated
-(key, stance) pair is malformed.
+(key, stance) pair is malformed.  Each loader builds one StanceSpace per
+distinct ordered list of explicit stances and shares it among the topics
+(regions) that list them.
 """
 
 from __future__ import annotations
@@ -406,12 +408,19 @@ def _read_grouped(
     return groups
 
 
-def _exclusive_counts(stances: Mapping[str, int]) -> StanceCounts:
+def _exclusive_counts(
+    stances: Mapping[str, int], spaces: dict[tuple[str, ...], StanceSpace]
+) -> StanceCounts:
     """Counts over an exclusive space of the explicit stances, in their order;
-    the ``__none__`` entry, if any, is the no-stance group."""
-    explicit = {sid: c for sid, c in stances.items() if sid != NO_STANCE}
-    space = StanceSpace.exclusive(list(explicit))
-    return StanceCounts.from_mapping(space, explicit, no_stance=stances.get(NO_STANCE, 0))
+    the ``__none__`` entry, if any, is the no-stance group.  ``spaces`` maps
+    each ordered tuple of explicit ids to its space, built on first use."""
+    explicit = dict(stances)
+    g0 = explicit.pop(NO_STANCE, 0)
+    ids = tuple(explicit)
+    space = spaces.get(ids)
+    if space is None:
+        space = spaces[ids] = StanceSpace.exclusive(ids)
+    return StanceCounts(space, (g0, *explicit.values()))
 
 
 def _parse_count(text: str, row: Mapping[str, str]) -> int:
@@ -440,7 +449,8 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     holds the no-answer group.
     """
     topics = _read_grouped(path, "topic", "stance", _poll_row_count)
-    return [(topic, _exclusive_counts(stances)) for topic, stances in topics.items()]
+    spaces: dict[tuple[str, ...], StanceSpace] = {}
+    return [(topic, _exclusive_counts(stances, spaces)) for topic, stances in topics.items()]
 
 
 def _poll_row_count(row: Mapping[str, str]) -> int:
@@ -491,9 +501,8 @@ def load_vote_records(
     space = StanceSpace.exclusive(list(options))
     table_rows = []
     for region, bucket in per_region.items():
-        valid = {sid: bucket.get(sid, 0) for sid in options}
         ballots = bucket.get(REJECTED, 0) + bucket.get(NO_STANCE, 0)
-        counts = StanceCounts.from_mapping(space, valid, no_stance=ballots)
+        counts = StanceCounts(space, (ballots, *(bucket.get(sid, 0) for sid in options)))
         eligible = bucket.get(ELIGIBLE)
         if eligible is not None and eligible < counts.total:
             raise EligibleLessThanVotes(
@@ -526,12 +535,13 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     means the topic has no rating (rejected later unless skipped).
     """
     topics = _read_grouped(path, "topic", "stance", _quadrant_row, ("count",))
+    spaces: dict[tuple[str, ...], StanceSpace] = {}
     out = []
     for topic, rows in topics.items():
         ratings = {rating for _, rating in rows.values()}
         if len(ratings) > 1:
             raise MalformedRow(f"topic {topic!r} carries conflicting importance ratings")
-        counts = _exclusive_counts({sid: count for sid, (count, _) in rows.items()})
+        counts = _exclusive_counts({sid: count for sid, (count, _) in rows.items()}, spaces)
         out.append((topic, counts, ratings.pop()))
     return out
 

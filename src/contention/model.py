@@ -27,6 +27,9 @@ meets, instead of one matrix per space.  A space skips its own matrix
 check only when it holds that very object; any other matrix, even an
 equal one, is checked in full.
 
+The table loaders share spaces: within one load, every topic that lists
+the same explicit stances in the same order holds one ``StanceSpace``.
+
 Held sets are interned per ``AssignmentSet``: a population has few distinct
 held sets and many people, so each distinct set is built, checked and
 turned into a bitmask once, and the scorers group people by set.
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
@@ -197,7 +201,7 @@ class StanceSpace:
 
     def _indices(self) -> _StanceIndex:
         """Stance id -> index, with ``__none__`` -> 0.  Built per call and
-        not stored, so the many spaces a poll keeps alive stay small."""
+        not stored: a space holds only its stances and its matrix."""
         indices = _StanceIndex((s.id, i) for i, s in enumerate(self.stances, 1))
         indices[NO_STANCE] = 0
         return indices
@@ -257,12 +261,12 @@ class StanceCounts:
     filter: SubpopulationFilter | None = None
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         if len(counts) != self.space.k + 1:
             raise ValueError(
                 f"expected {self.space.k + 1} counts (index 0 = no stance), got {len(counts)}"
             )
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ValueError(f"counts must be non-negative: {counts}")
         object.__setattr__(self, "counts", counts)
 
@@ -334,6 +338,9 @@ class AssignmentSet:
                 raise ValueError("every person holds at least the no-stance sentinel")
             if 0 in held and len(held) > 1:
                 raise ValueError("no explicit stance can be held jointly with no-stance")
+            wrong = [i for i in held if not isinstance(i, int)]
+            if wrong:
+                raise ValueError(f"stance index {wrong[0]!r} is not an int")
             if any(i < 0 or i > k for i in held):
                 raise ValueError(f"stance index out of range in {sorted(held)}")
         object.__setattr__(self, "assignments", cleaned)
@@ -658,34 +665,35 @@ def _restrict_counts(counts: StanceCounts, flt: SubpopulationFilter) -> StanceCo
 
 
 def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) -> AssignmentSet:
-    person_attrs = assignments.attributes or ({},) * assignments.n
-    known = {"stance"}
-    for attrs in person_attrs:
-        known.update(attrs)
-    unknown = [attr for attr in flt.attributes() if attr not in known]
-    if unknown:
-        raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
-
-    all_ids = assignments.space.all_ids
     stance = [allowed for attr, allowed in flt.criteria if attr == "stance"]
     others = [(attr, allowed) for attr, allowed in flt.criteria if attr != "stance"]
-    # every stance criterion must hold; they are decided once per distinct
-    # held set, the other criteria once per person
+    attributes = assignments.attributes
+    if others:
+        known = set()
+        for attrs in attributes or ():
+            known.update(attrs)
+        unknown = [attr for attr, _ in others if attr not in known]
+        if unknown:
+            raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
+
+    people = assignments.assignments
+    all_ids = assignments.space.all_ids
+    # every criterion must hold: the stance criteria are decided once per
+    # distinct held set, the other criteria once per person
     stance_ok = {
         held: all(not allowed.isdisjoint(all_ids[i] for i in held) for allowed in stance)
-        for held in set(assignments.assignments)
-    } if stance else {}
-    kept_held = []
-    kept_attrs = []
-    for held, attrs in zip(assignments.assignments, person_attrs):
-        if (not stance or stance_ok[held]) and all(
-            attrs.get(attr) in allowed for attr, allowed in others
-        ):
-            kept_held.append(held)
-            kept_attrs.append(attrs)
+        for held in set(people)
+    }
+    if others:
+        keep = [
+            stance_ok[held] and all(attrs.get(attr) in allowed for attr, allowed in others)
+            for held, attrs in zip(people, attributes)
+        ]
+    else:
+        keep = list(map(stance_ok.__getitem__, people))
     return AssignmentSet(
         assignments.space,
-        tuple(kept_held),
-        tuple(kept_attrs) if assignments.attributes is not None else None,
+        tuple(compress(people, keep)),
+        tuple(compress(attributes, keep)) if attributes is not None else None,
         flt,
     )

@@ -428,17 +428,11 @@ class TestConfigAndHelp:
 
 class TestEntryPoint:
     def test_module_invocation_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "contention", "poll", "--bogus-flag"],
-            capture_output=True, text=True,
-        )
+        proc = _python("-m", "contention", "poll", "--bogus-flag")
         assert proc.returncode == EX_USAGE
 
     def test_module_invocation_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "contention", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = _python("-m", "contention", "--help")
         assert proc.returncode == 0
         assert "poll" in proc.stdout and "quadrant" in proc.stdout
 

@@ -25,6 +25,8 @@ from contention.errors import (
 )
 from contention.ingest import (
     ALL_REGIONS,
+    RegionRow,
+    all_regions_row,
     _read_csv_rows,
     StanceLexicon,
     TweetRecord,
@@ -40,7 +42,7 @@ from contention.ingest import (
     tag_tweet_stance,
     StreamStats,
 )
-from contention.model import NO_STANCE, contention_exclusive
+from contention.model import NO_STANCE, StanceCounts, StanceSpace, contention_exclusive
 
 
 def write(tmp_path, name, text):
@@ -487,6 +489,81 @@ class TestSmallLoaders:
                      f"topic,stance,count,importance\nt,a,1,{rating}\nt,b,1,{rating}\n")
         with pytest.raises(MalformedRow, match=rf"importance '{rating}' is not finite in row .*'stance': 'a'"):
             load_quadrant_topics(path)
+
+
+class TestSharedSpaces:
+    POLL = ("topic,stance,count\n"
+            "t1,yes,3\nt1,no,4\n"
+            "t2,no,5\nt2,yes,6\n"
+            "t3,yes,7\nt3,__none__,2\nt3,no,8\n"
+            "t4,__none__,9\n")
+
+    def test_poll_topics_with_one_stance_list_share_a_space(self, tmp_path):
+        (_, t1), (_, t2), (_, t3), (_, t4) = load_poll_topline(write(tmp_path, "p.csv", self.POLL))
+        assert t3.space is t1.space and t3.counts == (2, 7, 8)
+        # the same stances in another order are another space
+        assert t2.space is not t1.space and t2.space != t1.space
+        assert t2.space.ids == ("no", "yes") and t2.counts == (0, 5, 6)
+        assert t4.space.k == 0 and t4.counts == (9,)
+
+    def test_quadrant_topics_with_one_stance_list_share_a_space(self, tmp_path):
+        path = write(tmp_path, "q.csv", "topic,stance,count,importance\n"
+                     "t1,a,1,2\nt1,b,2,2\nt2,b,3,\nt2,a,4,\nt3,a,5,1\nt3,b,6,1\n"
+                     "t4,__none__,7,3\n")
+        (_, t1, _), (_, t2, _), (_, t3, _), (_, t4, rating) = load_quadrant_topics(path)
+        assert t3.space is t1.space and t2.space is not t1.space
+        assert t4.counts == (7,) and rating == 3.0
+
+    def test_spaces_are_not_shared_across_loads(self, tmp_path):
+        path = write(tmp_path, "p.csv", self.POLL)
+        assert load_poll_topline(path)[0][1].space is not load_poll_topline(path)[0][1].space
+
+
+def _reference_exclusive_counts(stances):
+    """One fresh space per topic, filled through from_mapping: the loaders'
+    counts before spaces were shared."""
+    explicit = {sid: c for sid, c in stances.items() if sid != NO_STANCE}
+    space = StanceSpace.exclusive(list(explicit))
+    return StanceCounts.from_mapping(space, explicit, no_stance=stances.get(NO_STANCE, 0))
+
+
+@st.composite
+def stance_tables(draw):
+    """Topics whose stance lists repeat, in the same or another order."""
+    pool = draw(st.lists(st.lists(st.sampled_from(["yes", "no", "maybe", NO_STANCE]),
+                                  unique=True, min_size=1, max_size=4), min_size=1, max_size=4))
+    table = {}
+    for topic in range(draw(st.integers(min_value=1, max_value=12))):
+        stances = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            stances = draw(st.permutations(stances))
+        table[f"t{topic}"] = {sid: draw(st.integers(min_value=0, max_value=50)) for sid in stances}
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(stance_tables())
+def test_shared_spaces_match_per_topic_reference(tmp_path_factory, table):
+    work = tmp_path_factory.mktemp("tables")
+    rows = [f"{topic},{sid},{c}" for topic, stances in table.items() for sid, c in stances.items()]
+    poll = write(work, "p.csv", "topic,stance,count\n" + "".join(f"{r}\n" for r in rows))
+    quad = write(work, "q.csv", "topic,stance,count,importance\n" + "".join(f"{r},5\n" for r in rows))
+    expected = [(topic, _reference_exclusive_counts(stances)) for topic, stances in table.items()]
+    quadrant = [(topic, counts) for topic, counts, _ in load_quadrant_topics(quad)]
+    for loaded in (load_poll_topline(poll), quadrant):
+        assert loaded == expected
+        assert repr(loaded) == repr(expected)
+    # the same rows as regional votes: one space of every option, in file order
+    votes = write(work, "v.csv", "region,option,count\n" + "".join(f"{r}\n" for r in rows))
+    options = list(dict.fromkeys(sid for stances in table.values() for sid in stances if sid != NO_STANCE))
+    space = StanceSpace.exclusive(options)
+    regions = [RegionRow(region, StanceCounts.from_mapping(
+        space, {sid: stances.get(sid, 0) for sid in options}, no_stance=stances.get(NO_STANCE, 0)))
+        for region, stances in table.items()]
+    expected_rows = (*regions, all_regions_row(regions))
+    loaded_rows = load_vote_records(votes).rows
+    assert loaded_rows == expected_rows
+    assert repr(loaded_rows) == repr(expected_rows)
 
 
 # every grouped CSV loader: header, the row with the good stance, and what each

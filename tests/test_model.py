@@ -225,6 +225,20 @@ class TestRestrict:
         with pytest.raises(UnknownAttribute):
             restrict(people, SubpopulationFilter.of(age=["18"]))
 
+    def test_unknown_attribute_beside_a_stance_criterion(self):
+        people = AssignmentSet.from_stance_ids(TWO, [{"a"}], attributes=[{"region": "n"}])
+        with pytest.raises(UnknownAttribute, match=r"^no person carries attribute\(s\) \['age'\]$"):
+            restrict(people, SubpopulationFilter.of(age=["18"], region=["n"], stance=["a"]))
+
+    def test_stance_only_restrict_keeps_attributes_aligned(self):
+        attrs = [{"region": "n"}, {"region": "s"}, {}, {"region": "s"}]
+        people = AssignmentSet.from_stance_ids(TWO, [{"a"}, {"b"}, {"a"}, set()], attributes=attrs)
+        kept = restrict(people, SubpopulationFilter.of(stance=["a"]))
+        assert kept.assignments == (frozenset({1}), frozenset({1}))
+        assert kept.attributes == ({"region": "n"}, {})
+        everyone = restrict(people, SubpopulationFilter())
+        assert everyone.assignments == people.assignments and everyone.attributes == people.attributes
+
 
 class TestMaxContention:
     @pytest.mark.parametrize("k,expected", [(0, 0.0), (1, 0.0), (2, 0.5), (3, 2 / 3), (5, 0.8)])
@@ -278,12 +292,19 @@ class TestValidation:
             StanceSpace.exclusive([NO_STANCE])
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^counts must be non-negative: \(0, -1, 2\)$"):
             StanceCounts(TWO, (0, -1, 2))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 3 counts \(index 0 = no stance\), got 2$"):
             StanceCounts(TWO, (1, 2))
+
+    def test_float_counts_truncate_before_the_check(self):
+        assert StanceCounts(TWO, (0.0, 1.9, 2)).counts == (0, 1, 2)
+        with pytest.raises(ValueError, match=r"^counts must be non-negative: \(0, -1, 2\)$"):
+            StanceCounts(TWO, (0, -1.5, 2))
+        with pytest.raises(ValueError, match="^cannot convert float NaN to integer$"):
+            StanceCounts(TWO, (0, math.nan, 2))
 
     def test_counts_addition_and_scaling(self):
         total = counts(1, 2, 3) + counts(4, 5, 6)
@@ -444,6 +465,17 @@ class TestInternedAssignments:
         assert len(self.VALID) == 10**4
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AssignmentSet(TWO, (*self.VALID, bad, *self.VALID))
+
+    @pytest.mark.parametrize("bad, message", [
+        (frozenset({1.0}), "stance index 1.0 is not an int"),
+        (frozenset({"1"}), "stance index '1' is not an int"),
+        (frozenset({5, "x"}), "stance index 'x' is not an int"),
+    ])
+    def test_non_int_index_is_rejected(self, bad, message):
+        # checked once per distinct set: a set equal to one seen earlier
+        # (frozenset({1.0}) == frozenset({1})) shares that set's check
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AssignmentSet(TWO, (frozenset({2}), frozenset({0}), bad))
 
     def test_first_invalid_person_names_the_error(self):
         later = [frozenset(), *(frozenset({i}) for i in range(3, 60))]
