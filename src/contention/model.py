@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
@@ -330,17 +330,19 @@ class AssignmentSet:
 
     def __post_init__(self) -> None:
         k = self.space.k
-        # each person keeps their own frozenset; each distinct one is checked
-        # once, in order of first appearance, so the first bad person raises
+        # each person keeps their own frozenset.  Index types are checked over
+        # every person, since equal sets such as {1} and {1.0} are one key
+        # below; each distinct set is then checked once, in order of first
+        # appearance, so the first bad person raises
         cleaned = tuple(map(frozenset, self.assignments))
+        if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(cleaned)))):
+            wrong = next(i for i in chain.from_iterable(cleaned) if not isinstance(i, int))
+            raise ValueError(f"stance index {wrong!r} is not an int")
         for held in dict.fromkeys(cleaned):
             if not held:
                 raise ValueError("every person holds at least the no-stance sentinel")
             if 0 in held and len(held) > 1:
                 raise ValueError("no explicit stance can be held jointly with no-stance")
-            wrong = [i for i in held if not isinstance(i, int)]
-            if wrong:
-                raise ValueError(f"stance index {wrong[0]!r} is not an int")
             if any(i < 0 or i > k for i in held):
                 raise ValueError(f"stance index out of range in {sorted(held)}")
         object.__setattr__(self, "assignments", cleaned)
@@ -665,32 +667,28 @@ def _restrict_counts(counts: StanceCounts, flt: SubpopulationFilter) -> StanceCo
 
 
 def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) -> AssignmentSet:
-    stance = [allowed for attr, allowed in flt.criteria if attr == "stance"]
-    others = [(attr, allowed) for attr, allowed in flt.criteria if attr != "stance"]
     attributes = assignments.attributes
-    if others:
-        known = set()
-        for attrs in attributes or ():
-            known.update(attrs)
-        unknown = [attr for attr, _ in others if attr not in known]
-        if unknown:
-            raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
+    known = {"stance"}
+    for attrs in attributes or ():
+        known.update(attrs)
+    unknown = [attr for attr in flt.attributes() if attr not in known]
+    if unknown:
+        raise UnknownAttribute(f"no person carries attribute(s) {unknown}")
 
     people = assignments.assignments
     all_ids = assignments.space.all_ids
+    stance = [allowed for attr, allowed in flt.criteria if attr == "stance"]
+    others = [(attr, allowed) for attr, allowed in flt.criteria if attr != "stance"]
     # every criterion must hold: the stance criteria are decided once per
     # distinct held set, the other criteria once per person
     stance_ok = {
         held: all(not allowed.isdisjoint(all_ids[i] for i in held) for allowed in stance)
         for held in set(people)
     }
-    if others:
-        keep = [
-            stance_ok[held] and all(attrs.get(attr) in allowed for attr, allowed in others)
-            for held, attrs in zip(people, attributes)
-        ]
-    else:
-        keep = list(map(stance_ok.__getitem__, people))
+    keep = [
+        stance_ok[held] and all(attrs.get(attr) in allowed for attr, allowed in others)
+        for held, attrs in zip(people, attributes or repeat({}))
+    ]
     return AssignmentSet(
         assignments.space,
         tuple(compress(people, keep)),

@@ -472,10 +472,10 @@ class TestInternedAssignments:
         (frozenset({5, "x"}), "stance index 'x' is not an int"),
     ])
     def test_non_int_index_is_rejected(self, bad, message):
-        # checked once per distinct set: a set equal to one seen earlier
-        # (frozenset({1.0}) == frozenset({1})) shares that set's check
+        # frozenset({1.0}) == frozenset({1}): a type check keyed by the
+        # distinct sets would miss the float behind the earlier int set
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            AssignmentSet(TWO, (frozenset({2}), frozenset({0}), bad))
+            AssignmentSet(TWO, (frozenset({1}), frozenset({0}), bad))
 
     def test_first_invalid_person_names_the_error(self):
         later = [frozenset(), *(frozenset({i}) for i in range(3, 60))]
