@@ -15,7 +15,6 @@ from .analytics import (
     quadrant_points,
     region_contention,
     timeseries,
-    turnout_adjust,
 )
 from .errors import ContentionError
 from .ingest import (
@@ -33,6 +32,7 @@ from .ingest import (
     load_quadrant_topics,
     load_vote_records,
     tag_tweet_stance,
+    turnout_adjust,
 )
 from .model import (
     NO_STANCE,

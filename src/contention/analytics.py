@@ -1,5 +1,5 @@
-"""Derived views: daily trends, per-region tables, turnout adjustment,
-and contention-vs-importance quadrant points.
+"""Derived views: daily trends, per-region tables, and
+contention-vs-importance quadrant points.
 
 Everything here is a pure transformation over immutable inputs; per-day
 and per-region work is independent and the output order is fixed (sorted
@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ContentionError, ImportanceOutOfDeclaredRange, MissingImportance
 from .ingest import ALL_REGIONS, DailySeries, RegionTable, all_regions_row
-from .ingest import turnout_adjust  # noqa: F401 - the turnout rule, re-exported here
-from .model import ContentionResult, KMode, StanceCounts, contention_exclusive
+from .model import ContentionResult, KMode, StanceCounts, _norm_k, contention_exclusive
 
 
 @dataclass(frozen=True)
@@ -46,13 +45,13 @@ def timeseries(series: DailySeries, *, k_mode: KMode = "declared") -> list[Serie
         n_stanced = sum(counts.explicit)
         raw_all = norm_all = raw_stanced = norm_stanced = None
         n_all = counts.total if day.has_total else None
-        k = counts.space.k if k_mode == "declared" else counts.observed_k
+        k = _norm_k(counts.space.k, counts.observed_k, k_mode)
         if day.has_total and counts.total > 0:
             result = contention_exclusive(counts, k_mode=k_mode)
-            raw_all, norm_all, k = result.raw, result.normalized, result.k
+            raw_all, norm_all = result.raw, result.normalized
         if n_stanced > 0:
             result = contention_exclusive(counts.with_no_stance(0), k_mode=k_mode)
-            raw_stanced, norm_stanced, k = result.raw, result.normalized, result.k
+            raw_stanced, norm_stanced = result.raw, result.normalized
         points.append(
             SeriesPoint(day.date, n_all, n_stanced, k, raw_all, norm_all, raw_stanced, norm_stanced)
         )
@@ -85,14 +84,12 @@ class QuadrantPoint:
     topic: str
     contention: float
     importance: float
-    source: str = ""
 
 
 def quadrant_points(
     rows: Iterable[tuple[str, StanceCounts, float | None]],
     scale: Sequence[float],
     *,
-    source: str = "",
     k_mode: KMode = "declared",
     on_error: str = "raise",
 ) -> tuple[list[QuadrantPoint], list[tuple[str, str]]]:
@@ -125,7 +122,5 @@ def quadrant_points(
                 raise
             rejects.append((topic, f"{type(exc).__name__}: {exc}"))
             continue
-        points.append(
-            QuadrantPoint(topic, result.normalized, (importance - lo) / (hi - lo), source)
-        )
+        points.append(QuadrantPoint(topic, result.normalized, (importance - lo) / (hi - lo)))
     return points, rejects

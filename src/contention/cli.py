@@ -32,20 +32,55 @@ EX_OK = 0
 EX_DATA = 2
 EX_USAGE = 64
 
-_DEFAULTS: dict[str, Any] = {
-    "out": None,
-    "json": False,
-    "precision": 6,
-    "threads": 1,
-    "normalize": "declared",
-    "samples": None,
-    "seed": 0,
-    "turnout": "ballots",
-    "lexicon": None,
-    "totals": None,
-    "by_user": False,
-    "error_budget": 0.001,
-    "importance_scale": None,
+
+def _rule(want: str, ok: Callable[[Any], bool],
+          read: Callable[[Any], Any] = lambda value: value) -> Callable[[Any], Any]:
+    """One option's parser: ``read`` the value, then require ``ok`` of it.
+    Numbers are read from their text, so a config value must be one that
+    the flag would accept as typed."""
+    def parse(value: Any) -> Any:
+        try:
+            parsed = read(value)
+            if ok(parsed):
+                return parsed
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"want {want}, got {value!r}")
+    return parse
+
+
+def _int_from(low: int) -> Callable[[Any], int]:
+    return _rule(f"an integer >= {low}", lambda n: n >= low, lambda v: int(str(v)))
+
+
+def _one_of(*words: str) -> Callable[[Any], str]:
+    parse = _rule(" or ".join(words), lambda w: w in words)
+    parse.metavar = "{" + ",".join(words) + "}"  # shown in --help
+    return parse
+
+
+_BOOLEAN = _rule("JSON true or false", lambda v: isinstance(v, bool))
+_PATH = _rule("a path string", lambda v: isinstance(v, str))
+
+# every option: its default, and the one function that parses and checks its
+# value, as a flag's argparse ``type`` and for the same key in a config file.
+# ``importance_scale`` takes two values, each checked by its function.
+_OPTIONS: dict[str, tuple[Any, Callable[[Any], Any]]] = {
+    "out": (None, _PATH),
+    "json": (False, _BOOLEAN),
+    "precision": (6, _int_from(0)),
+    "threads": (1, _int_from(1)),
+    "normalize": ("declared", _one_of("declared", "observed")),
+    "samples": (None, _int_from(1)),
+    "seed": (0, _int_from(0)),
+    "turnout": ("ballots", _one_of("ballots", "eligible")),
+    "lexicon": (None, _PATH),
+    "totals": (None, _PATH),
+    "by_user": (False, _BOOLEAN),
+    "error_budget": (0.001, _rule("a number in [0, 1]", lambda x: 0 <= x <= 1,
+                                  lambda v: float(str(v)))),
+    "importance_scale": (None, _rule("a finite number", math.isfinite,
+                                     lambda v: float(str(v)))),
 }
 
 _SCHEMA_NOTES = """\
@@ -90,26 +125,29 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="cmd", metavar="{poll,votes,tweets,quadrant}")
 
+    def option(p: argparse.ArgumentParser, key: str, **kwargs: Any) -> None:
+        parse = _OPTIONS[key][1]
+        kwargs.setdefault("metavar", getattr(parse, "metavar", None))
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, **kwargs)
+
     def shared(p: argparse.ArgumentParser, sampled: bool = False) -> None:
-        p.add_argument("--out", help="write records here instead of stdout")
+        option(p, "out", help="write records here instead of stdout")
         p.add_argument("--json", action=argparse.BooleanOptionalAction,
                        help="emit JSON-lines instead of CSV (default: CSV)")
-        p.add_argument("--precision", type=int,
-                       help="decimals for printed scores (default: 6)")
-        p.add_argument("--threads", type=int,
-                       help="accepted and checked (>= 1) but selects nothing: "
-                            "every command runs in one thread (default: 1)")
-        p.add_argument("--normalize", choices=("declared", "observed"),
-                       help="normalize by the declared stance count or only the "
-                            "observed nonzero one (default: declared)")
+        option(p, "precision", help="decimals for printed scores (default: 6)")
+        option(p, "threads",
+               help="accepted and checked (>= 1) but selects nothing: "
+                    "every command runs in one thread (default: 1)")
+        option(p, "normalize",
+               help="normalize by the declared stance count or only the "
+                    "observed nonzero one (default: declared)")
         p.add_argument("--config",
                        help="JSON file mirroring these flags; explicit flags win")
         if sampled:
-            p.add_argument("--samples", type=int,
-                           help="estimate by Monte Carlo with this many pair draws "
-                                "instead of the closed form")
-            p.add_argument("--seed", type=int,
-                           help="RNG seed for --samples (default: 0)")
+            option(p, "samples",
+                   help="estimate by Monte Carlo with this many pair draws "
+                        "instead of the closed form")
+            option(p, "seed", help="RNG seed for --samples (default: 0)")
 
     p_poll = sub.add_parser(
         "poll", help="contention per poll topic",
@@ -126,10 +164,10 @@ def build_parser() -> _Parser:
         epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_votes.add_argument("input", help="vote records CSV")
-    p_votes.add_argument("--turnout", choices=("ballots", "eligible"),
-                         help="ballots: no-stance = rejected/__none__ ballots; "
-                              "eligible: no-stance = eligible population minus valid "
-                              "votes (default: ballots)")
+    option(p_votes, "turnout",
+           help="ballots: no-stance = rejected/__none__ ballots; "
+                "eligible: no-stance = eligible population minus valid "
+                "votes (default: ballots)")
     shared(p_votes, sampled=True)
 
     p_tweets = sub.add_parser(
@@ -141,17 +179,15 @@ def build_parser() -> _Parser:
     )
     p_tweets.add_argument("inputs", nargs="+", metavar="shard.jsonl",
                           help="one or more JSONL tweet shards")
-    p_tweets.add_argument("--lexicon", help="stance lexicon JSON (required)")
-    p_tweets.add_argument("--totals",
-                          help="daily totals CSV supplying the no-stance baseline")
+    option(p_tweets, "lexicon", help="stance lexicon JSON (required)")
+    option(p_tweets, "totals", help="daily totals CSV supplying the no-stance baseline")
     p_tweets.add_argument("--by-user", dest="by_user",
                           action=argparse.BooleanOptionalAction,
                           help="count distinct users instead of tweets; users who "
                                "post conflicting stances in the window are dropped "
                                "from every group")
-    p_tweets.add_argument("--error-budget", dest="error_budget", type=float,
-                          help="max tolerated fraction of unparseable lines "
-                               "(default: 0.001)")
+    option(p_tweets, "error_budget",
+           help="max tolerated fraction of unparseable lines (default: 0.001)")
     shared(p_tweets)
 
     p_quad = sub.add_parser(
@@ -161,10 +197,8 @@ def build_parser() -> _Parser:
         epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_quad.add_argument("input", help="quadrant topics CSV")
-    p_quad.add_argument("--importance-scale", dest="importance_scale", nargs=2,
-                        type=float, metavar=("LO", "HI"),
-                        help="bounds of the source's importance rating scale "
-                             "(required; e.g. 0 10)")
+    option(p_quad, "importance_scale", nargs=2, metavar=("LO", "HI"),
+           help="bounds of the source's importance rating scale (required; e.g. 0 10)")
     shared(p_quad)
 
     return parser
@@ -180,70 +214,43 @@ def _load_config(path: str) -> dict[str, Any]:
     cfg = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if dest not in _DEFAULTS:
+        if dest not in _OPTIONS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        cfg[dest] = value
+        cfg[dest] = _config_value(dest, value)
     return cfg
 
 
-# each numeric value goes through the parser its flag uses, so a config file
-# cannot carry a value the flag would reject
-_NUMBERS: dict[str, Callable[[str], Any]] = {
-    "precision": int,
-    "threads": int,
-    "samples": int,
-    "seed": int,
-    "error_budget": float,
-}
+def _config_value(key: str, value: Any) -> Any:
+    """A config value through its flag's parser; null only where the default
+    is None."""
+    default, parse = _OPTIONS[key]
+    if value is None and default is None:
+        return None
+    try:
+        if key != "importance_scale":
+            return parse(value)
+        if not isinstance(value, list) or len(value) != 2:
+            raise argparse.ArgumentTypeError(f"want two numbers LO HI, got {value!r}")
+        return [parse(v) for v in value]
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"config key {key} (--{key.replace('_', '-')}): {exc}") from None
 
 
 def _effective(args: argparse.Namespace) -> dict[str, Any]:
     """Defaults, overridden by the config file, overridden by explicit flags;
-    every value is checked and coerced here, once."""
-    merged = dict(_DEFAULTS)
+    each value was checked alone when parsed, so only the rules that need
+    two values are left."""
+    merged = {key: default for key, (default, _) in _OPTIONS.items()}
     if getattr(args, "config", None):
         merged.update(_load_config(args.config))
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
-    for key, parse in _NUMBERS.items():
-        merged[key] = _coerce(key, merged[key], parse)
     if merged["importance_scale"] is not None:
-        scale = merged["importance_scale"]
-        if not isinstance(scale, (list, tuple)) or len(scale) != 2:
-            raise _UsageError(f"importance_scale: want two numbers LO HI, got {scale!r}")
-        lo, hi = (_coerce("importance_scale", v, float) for v in scale)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise _UsageError(f"--importance-scale bounds must be finite, got {lo} {hi}")
+        lo, hi = merged["importance_scale"]
         if not lo < hi:
             raise _UsageError(f"--importance-scale must satisfy LO < HI, got {lo} {hi}")
-        merged["importance_scale"] = (lo, hi)
-    if merged["precision"] < 0:
-        raise _UsageError("--precision must be >= 0")
-    if merged["threads"] < 1:
-        raise _UsageError("--threads must be >= 1")
-    if not 0 <= merged["error_budget"] <= 1:
-        raise _UsageError(f"--error-budget must be in [0, 1], got {merged['error_budget']}")
-    if merged["samples"] is not None and merged["samples"] < 1:
-        raise _UsageError("--samples must be >= 1")
-    if merged["seed"] < 0:
-        raise _UsageError("--seed must be >= 0")
-    if merged["normalize"] not in ("declared", "observed"):
-        raise _UsageError(f"--normalize must be 'declared' or 'observed', got {merged['normalize']!r}")
-    if merged["turnout"] not in ("ballots", "eligible"):
-        raise _UsageError(f"--turnout must be 'ballots' or 'eligible', got {merged['turnout']!r}")
     return merged
-
-
-def _coerce(key: str, value: Any, parse: Callable[[str], Any]) -> Any:
-    """``value`` read the way its flag reads text; None only where the
-    default is None."""
-    if value is None and _DEFAULTS[key] is None:
-        return None
-    try:
-        return parse(str(value))
-    except ValueError:
-        raise _UsageError(f"{key}: invalid {parse.__name__} value {value!r}") from None
 
 
 # -- output -----------------------------------------------------------------------
@@ -293,38 +300,27 @@ def _score(counts, cfg: Mapping[str, Any]):
 
 # -- subcommands --------------------------------------------------------------------
 
+def _score_record(key: str, name: str, result) -> dict[str, Any]:
+    """One ``<key>,n,k,raw,normalized`` output record."""
+    return {key: name, "n": result.population, "k": result.k,
+            "raw": result.raw, "normalized": result.normalized}
+
+
 def cmd_poll(args: argparse.Namespace) -> int:
     cfg = _effective(args)
-    records = []
-    for topic, counts in ingest.load_poll_topline(args.input):
-        result = _score(counts, cfg)
-        records.append({
-            "topic": topic,
-            "n": result.population,
-            "k": result.k,
-            "raw": result.raw,
-            "normalized": result.normalized,
-        })
+    records = [
+        _score_record("topic", topic, _score(counts, cfg))
+        for topic, counts in ingest.load_poll_topline(args.input)
+    ]
     _write_records(records, cfg)
     return EX_OK
 
 
 def cmd_votes(args: argparse.Namespace) -> int:
     cfg = _effective(args)
-    mode = {"ballots": "ballots-only", "eligible": "eligible-population"}[cfg["turnout"]]
-    table = ingest.load_vote_records(args.input, mode)
+    table = ingest.load_vote_records(args.input, cfg["turnout"])
     scored = analytics.region_contention(table, score=lambda counts: _score(counts, cfg))
-    records = [
-        {
-            "region": region,
-            "n": result.population,
-            "k": result.k,
-            "raw": result.raw,
-            "normalized": result.normalized,
-        }
-        for region, result in scored
-    ]
-    _write_records(records, cfg)
+    _write_records([_score_record("region", region, result) for region, result in scored], cfg)
     return EX_OK
 
 
@@ -338,26 +334,13 @@ def cmd_tweets(args: argparse.Namespace) -> int:
         args.inputs,
         lexicon,
         totals,
-        mode="user" if cfg["by_user"] else "tweet",
+        by_user=cfg["by_user"],
         error_budget=cfg["error_budget"],
     )
     if not series.days:
         raise EmptyInput("no parseable tweets and no daily totals")
     points = analytics.timeseries(series, k_mode=cfg["normalize"])
-    records = [
-        {
-            "date": p.date.isoformat(),
-            "n_all": p.n_all,
-            "n_stanced": p.n_stanced,
-            "k": p.k,
-            "raw_all": p.raw_all,
-            "norm_all": p.norm_all,
-            "raw_stanced": p.raw_stanced,
-            "norm_stanced": p.norm_stanced,
-        }
-        for p in points
-    ]
-    _write_records(records, cfg)
+    _write_records([{**vars(p), "date": p.date.isoformat()} for p in points], cfg)
 
     error_pct = 100.0 * stats.parse_errors / stats.lines if stats.lines else 0.0
     print(f"# tweets: {stats.parsed} parsed, {stats.parse_errors} parse errors "
@@ -376,11 +359,7 @@ def cmd_quadrant(args: argparse.Namespace) -> int:
         raise _UsageError("quadrant requires --importance-scale LO HI")
     rows = ingest.load_quadrant_topics(args.input)
     points, _ = analytics.quadrant_points(rows, cfg["importance_scale"], k_mode=cfg["normalize"])
-    records = [
-        {"topic": p.topic, "contention": p.contention, "importance": p.importance}
-        for p in points
-    ]
-    _write_records(records, cfg)
+    _write_records([vars(p) for p in points], cfg)
     return EX_OK
 
 

@@ -42,7 +42,7 @@ class MissingTotal(ContentionError):
 
 
 class EligibleLessThanVotes(ContentionError):
-    """An eligible-population figure smaller than the ballots cast."""
+    """An eligible population figure smaller than the ballots cast."""
 
 
 class MissingEligible(ContentionError):

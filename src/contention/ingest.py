@@ -11,7 +11,7 @@ File schemas (UTF-8, RFC-4180 quoting):
 - poll topline:   header ``topic,stance,count`` or ``topic,stance,percent,total``;
   stance literal ``__none__`` is the no-stance row.
 - vote records:   header ``region,option,count``; option literals
-  ``__eligible__`` (eligible-population sidecar), ``__rejected__``
+  ``__eligible__`` (eligible population sidecar), ``__rejected__``
   (rejected ballots) and ``__none__`` (ballots counted as no stance).
 - daily totals:   header ``date,total`` with ``YYYY-MM-DD`` dates.
 - tweet stream:   one JSON object per line: ``id`` (str), ``ts`` (ISO-8601
@@ -84,18 +84,27 @@ class LexiconStance:
 
 @dataclass(frozen=True)
 class StanceLexicon:
-    """Per-stance hashtag lists for one topic; each hashtag maps to one stance."""
+    """Per-stance hashtag lists for one topic; each hashtag maps to one stance.
+
+    The stance ids are checked once, here, by building the lexicon's one
+    exclusive StanceSpace; a bad id or a hashtag under two stances raises
+    ValueError, which ``from_json`` reports as a MalformedRow."""
 
     topic: str
     stances: tuple[LexiconStance, ...]
     _index: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    _space: StanceSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        space = StanceSpace.exclusive(
+            [s.id for s in self.stances], {s.id: s.label for s in self.stances}
+        )
+        object.__setattr__(self, "_space", space)
         seen: dict[str, str] = {}
         for stance in self.stances:
             for tag in stance.hashtags:
                 if tag in seen and seen[tag] != stance.id:
-                    raise MalformedRow(
+                    raise ValueError(
                         f"hashtag #{tag} appears under both {seen[tag]!r} and {stance.id!r}"
                     )
                 seen[tag] = stance.id
@@ -108,18 +117,20 @@ class StanceLexicon:
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedRow(f"cannot read lexicon {path}: {exc}") from exc
         try:
-            stances = tuple(
-                LexiconStance(
-                    id=str(entry["id"]),
-                    label=str(entry.get("label") or entry["id"]),
-                    hashtags=frozenset(normalize_hashtag(t) for t in entry["hashtags"]),
-                )
-                for entry in doc["stances"]
-            )
-            topic = str(doc["topic"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedRow(f"lexicon {path} missing field: {exc}") from exc
-        return cls(topic, stances)
+            stances = []
+            for entry in doc["stances"]:
+                sid, tags = entry["id"], entry["hashtags"]
+                if not isinstance(sid, str):
+                    raise TypeError(f"stance id must be a JSON string, got {sid!r}")
+                if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                    raise TypeError(f"hashtags must be a JSON array of strings, got {tags!r}")
+                label = str(entry.get("label") or sid)
+                stances.append(LexiconStance(sid, label, frozenset(map(normalize_hashtag, tags))))
+            return cls(str(doc["topic"]), tuple(stances))
+        except KeyError as exc:
+            raise MalformedRow(f"lexicon {path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise MalformedRow(f"lexicon {path}: {exc}") from exc
 
     @property
     def contention_bearing(self) -> bool:
@@ -127,9 +138,7 @@ class StanceLexicon:
         return sum(1 for s in self.stances if s.hashtags) >= 2
 
     def space(self) -> StanceSpace:
-        return StanceSpace.exclusive(
-            [s.id for s in self.stances], {s.id: s.label for s in self.stances}
-        )
+        return self._space
 
     def tag_index(self) -> Mapping[str, str]:
         """Read-only map from normalized hashtag to stance id."""
@@ -304,13 +313,6 @@ class RegionRow:
     counts: StanceCounts
     eligible: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.eligible is not None and self.eligible < sum(self.counts.explicit):
-            raise EligibleLessThanVotes(
-                f"region {self.region!r}: eligible {self.eligible} < "
-                f"{sum(self.counts.explicit)} explicit votes"
-            )
-
 
 @dataclass(frozen=True)
 class RegionTable:
@@ -339,12 +341,14 @@ def all_regions_row(rows: Sequence[RegionRow]) -> RegionRow:
     return RegionRow(ALL_REGIONS, counts, None if None in eligibles else sum(eligibles))
 
 
-def turnout_adjust(counts: StanceCounts, eligible: int) -> StanceCounts:
-    """Recast the no-stance group as everyone eligible who cast no valid vote."""
+def turnout_adjust(counts: StanceCounts, eligible: int, region: str | None = None) -> StanceCounts:
+    """Recast the no-stance group as everyone eligible who cast no valid vote.
+
+    The eligible population must cover every ballot already counted;
+    ``region``, when given, is named in the error."""
     if eligible < counts.total:
-        raise EligibleLessThanVotes(
-            f"eligible {eligible} < population {counts.total} already counted"
-        )
+        where = "" if region is None else f"region {region!r}: "
+        raise EligibleLessThanVotes(f"{where}eligible {eligible} < {counts.total} ballots cast")
     return counts.with_no_stance(eligible - sum(counts.explicit))
 
 
@@ -475,19 +479,20 @@ def _poll_row_count(row: Mapping[str, str]) -> int:
 
 def load_vote_records(
     path: str | Path,
-    turnout_mode: str = "ballots-only",
+    turnout: str = "ballots",
     topic: str | None = None,
 ) -> RegionTable:
     """Read regional votes; non-voters and rejected ballots carry no stance.
 
-    ballots-only: g0 = rejected ballots (+ any ``__none__`` ballots).
-    eligible-population: g0 = eligible - valid votes, folding non-voters
+    ``turnout="ballots"``: g0 = rejected ballots (+ any ``__none__`` ballots).
+    ``turnout="eligible"``: g0 = eligible - valid votes, folding non-voters
     and rejected ballots together; every region then needs an
-    ``__eligible__`` sidecar row.  An ``__all__`` row summing every region
-    is appended.
+    ``__eligible__`` sidecar row.  In both, an ``__eligible__`` row must
+    cover the region's ballots (see ``turnout_adjust``).  An ``__all__``
+    row summing every region is appended.
     """
-    if turnout_mode not in ("ballots-only", "eligible-population"):
-        raise ValueError(f"unknown turnout mode {turnout_mode!r}")
+    if turnout not in ("ballots", "eligible"):
+        raise ValueError(f"turnout must be 'ballots' or 'eligible', got {turnout!r}")
     options: dict[str, None] = {}  # the valid options, in the order the file names them
 
     def parse(row: dict[str, str]) -> int:
@@ -504,14 +509,12 @@ def load_vote_records(
         ballots = bucket.get(REJECTED, 0) + bucket.get(NO_STANCE, 0)
         counts = StanceCounts(space, (ballots, *(bucket.get(sid, 0) for sid in options)))
         eligible = bucket.get(ELIGIBLE)
-        if eligible is not None and eligible < counts.total:
-            raise EligibleLessThanVotes(
-                f"region {region!r}: eligible {eligible} < {counts.total} ballots cast"
-            )
-        if turnout_mode == "eligible-population":
-            if eligible is None:
-                raise MissingEligible(f"region {region!r} has no {ELIGIBLE} row")
-            counts = turnout_adjust(counts, eligible)
+        if eligible is not None:
+            adjusted = turnout_adjust(counts, eligible, region)
+            if turnout == "eligible":
+                counts = adjusted
+        elif turnout == "eligible":
+            raise MissingEligible(f"region {region!r} has no {ELIGIBLE} row")
         table_rows.append(RegionRow(region, counts, eligible))
     table_rows.append(all_regions_row(table_rows))
     return RegionTable(topic or Path(path).stem, tuple(table_rows))
@@ -525,6 +528,8 @@ def load_daily_totals(path: str | Path) -> dict[date, int]:
         if day in totals:
             raise DuplicateStanceRow(f"date {row['date']} appears twice in totals")
         totals[day] = _parse_count(row["total"], row)
+    if not totals:
+        raise EmptyInput(f"{path}: no data rows")
     return totals
 
 
@@ -566,13 +571,11 @@ class _DayAccumulator:
     """Streaming per-day stance tally; the order tweets arrive in does not
     change it."""
 
-    def __init__(self, lexicon: StanceLexicon, mode: str) -> None:
-        if mode not in ("tweet", "user"):
-            raise ValueError(f"counting mode must be 'tweet' or 'user', got {mode!r}")
+    def __init__(self, lexicon: StanceLexicon, by_user: bool) -> None:
         self.lexicon = lexicon
-        self.mode = mode
+        self.by_user = by_user
         self.index = lexicon.tag_index()
-        self.stance_ids = [s.id for s in lexicon.stances]
+        self.stance_ids = lexicon.space().ids
         # tweets per day and stance id, None counting the untagged; every
         # day seen is a key, in both modes
         self.day_counts: dict[date, dict[str | None, int]] = {}
@@ -585,7 +588,7 @@ class _DayAccumulator:
         if bucket is None:
             bucket = self.day_counts[day] = {}
         bucket[stance] = bucket.get(stance, 0) + 1
-        if stance is not None and self.mode == "user":
+        if stance is not None and self.by_user:
             self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
             self.user_stances.setdefault(user, set()).add(stance)
 
@@ -600,7 +603,7 @@ class _DayAccumulator:
         return out
 
     def _explicit_counts(self, day: date) -> dict[str, int]:
-        if self.mode == "tweet":
+        if not self.by_user:
             bucket = self.day_counts.get(day, {})
             return {sid: bucket.get(sid, 0) for sid in self.stance_ids}
         bucket_users = self.day_users.get(day, {})
@@ -637,16 +640,16 @@ def build_daily_counts(
     lexicon: StanceLexicon,
     totals: Mapping[date, int] | None = None,
     *,
-    mode: str = "tweet",
+    by_user: bool = False,
 ) -> DailySeries:
     """Bucket a tweet stream by UTC date into per-stance daily counts.
 
     Input order is irrelevant.  With daily totals, each day's no-stance
     count is total - tagged (the day's whole sample is the population);
     days carrying tags but no total row keep only the stance-holders
-    variant.  ``mode="user"`` counts distinct user ids instead of tweets.
+    variant.  ``by_user=True`` counts distinct user ids instead of tweets.
     """
-    acc = _DayAccumulator(lexicon, mode)
+    acc = _DayAccumulator(lexicon, by_user)
     for record in records:
         acc.add(record.ts.date(), record.user, record.hashtags)
     return acc.finish(totals)
@@ -657,7 +660,7 @@ def ingest_tweets(
     lexicon: StanceLexicon,
     totals: Mapping[date, int] | None = None,
     *,
-    mode: str = "tweet",
+    by_user: bool = False,
     error_budget: float = 0.001,
 ) -> tuple[DailySeries, StreamStats]:
     """Read one or more JSONL shards into a DailySeries plus stream stats.
@@ -667,7 +670,7 @@ def ingest_tweets(
     are skipped and counted; when they exceed ``error_budget`` as a
     fraction of all lines, the whole run fails.
     """
-    acc = _DayAccumulator(lexicon, mode)
+    acc = _DayAccumulator(lexicon, by_user)
     stats = StreamStats()
     add = acc.add
     for path in paths:

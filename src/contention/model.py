@@ -242,11 +242,6 @@ class SubpopulationFilter:
     def attributes(self) -> tuple[str, ...]:
         return tuple(attr for attr, _ in self.criteria)
 
-    def describe(self) -> str:
-        if self.is_always_true:
-            return "all"
-        return ";".join(f"{attr}={','.join(sorted(vals))}" for attr, vals in self.criteria)
-
 
 @dataclass(frozen=True)
 class StanceCounts:

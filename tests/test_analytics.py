@@ -12,7 +12,6 @@ from contention.analytics import (
     quadrant_points,
     region_contention,
     timeseries,
-    turnout_adjust,
 )
 from contention.errors import (
     EligibleLessThanVotes,
@@ -25,6 +24,7 @@ from contention.ingest import (
     DaySlice,
     RegionRow,
     RegionTable,
+    turnout_adjust,
 )
 from contention.model import StanceCounts, StanceSpace, contention_exclusive
 
@@ -69,6 +69,11 @@ class TestTimeseries:
         assert point.norm_all == 0.0
         assert point.n_stanced == 0
         assert point.raw_stanced is None and point.norm_stanced is None
+
+    def test_unknown_k_mode_rejected_on_a_day_without_scores(self):
+        series = DailySeries("t", (day("2016-01-01", (0, 0, 0), has_total=False),))
+        with pytest.raises(ValueError, match="k_mode"):
+            timeseries(series, k_mode="bogus")
 
     def test_dress_poll_reference_level(self):
         # the published poll's stance split, back-solved from its score

@@ -393,7 +393,8 @@ class TestConfigAndHelp:
         ("threads", "x"), ("precision", "x"), ("precision", None), ("samples", 0),
         ("samples", 1.5), ("seed", "x"), ("error_budget", "lots"), ("importance_scale", [5, 5]),
         ("importance_scale", "0 10"), ("error_budget", "nan"), ("error_budget", -0.1),
-        ("error_budget", 1.5),
+        ("error_budget", 1.5), ("json", "false"), ("by_user", "no"), ("out", True),
+        ("totals", 5), ("lexicon", ["x"]),
     ])
     def test_bad_config_value_is_usage_error(self, poll_csv, tmp_path, key, value, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({key: value}))

@@ -160,20 +160,20 @@ class TestVoteRecords:
         path = write(tmp_path, "votes.csv",
                      "region,option,count\n"
                      "r,a,30\nr,b,20\nr,__eligible__,100\n")
-        table = load_vote_records(path, "eligible-population")
+        table = load_vote_records(path, "eligible")
         assert table.row("r").counts.counts == (50, 30, 20)
         assert table.row("r").eligible == 100
 
     def test_missing_eligible(self, tmp_path):
         path = write(tmp_path, "votes.csv", "region,option,count\nr,a,30\n")
         with pytest.raises(MissingEligible):
-            load_vote_records(path, "eligible-population")
+            load_vote_records(path, "eligible")
 
     def test_eligible_less_than_votes(self, tmp_path):
         path = write(tmp_path, "votes.csv",
                      "region,option,count\nr,a,60\nr,b,50\nr,__eligible__,100\n")
         with pytest.raises(EligibleLessThanVotes):
-            load_vote_records(path, "eligible-population")
+            load_vote_records(path, "eligible")
 
     def test_all_aggregate_sums_regions(self, tmp_path):
         path = write(tmp_path, "votes.csv",
@@ -215,7 +215,21 @@ class TestLexiconAndTagging:
             ],
         }
         path = write(tmp_path, "bad.json", json.dumps(bad))
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: hashtag #same"):
+            StanceLexicon.from_json(path)
+
+    @pytest.mark.parametrize("stances", [
+        [{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}],
+        [{"id": "a", "hashtags": [5]}, {"id": "b", "hashtags": ["no"]}],
+        [{"id": "", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+        [{"id": "__none__", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+        [{"id": "a", "hashtags": ["yes"]}, {"id": "a", "hashtags": ["no"]}],
+        [{"id": None, "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+    ], ids=["hashtags-string", "hashtags-number", "empty-id", "reserved-id", "duplicate-id",
+            "null-id"])
+    def test_bad_lexicon_is_malformed_at_load(self, tmp_path, stances):
+        path = write(tmp_path, "bad.json", json.dumps({"topic": "t", "stances": stances}))
+        with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: "):
             StanceLexicon.from_json(path)
 
     def test_unique_stance_match(self, dress_lexicon):
@@ -329,7 +343,7 @@ class TestBuildDailyCounts:
             tweet("2", "2015-02-26T11:00:00Z", "alice", ["whiteandgold"]),
             tweet("3", "2015-02-26T12:00:00Z", "bob", ["blackandblue"]),
         ]
-        series = build_daily_counts(records, dress_lexicon, mode="user")
+        series = build_daily_counts(records, dress_lexicon, by_user=True)
         assert series.days[0].counts.explicit == (1, 1)
 
     def test_by_user_conflicting_user_excluded(self, dress_lexicon):
@@ -338,7 +352,7 @@ class TestBuildDailyCounts:
             tweet("2", "2015-02-27T10:00:00Z", "alice", ["blackandblue"]),
             tweet("3", "2015-02-26T12:00:00Z", "bob", ["blackandblue"]),
         ]
-        series = build_daily_counts(records, dress_lexicon, mode="user")
+        series = build_daily_counts(records, dress_lexicon, by_user=True)
         by_date = {d.date: d.counts.explicit for d in series.days}
         # alice posted both stances across the window: dropped from both days
         assert by_date[date(2015, 2, 26)] == (0, 1)
@@ -434,12 +448,12 @@ class TestTweetStream:
         with pytest.raises(ErrorBudgetExceeded):
             ingest_tweets([path], dress_lexicon, error_budget=0.4)
 
-    @pytest.mark.parametrize("mode", ["tweet", "user"])
-    def test_no_shards(self, dress_lexicon, mode):
-        series, stats = ingest_tweets([], dress_lexicon, mode=mode)
+    @pytest.mark.parametrize("by_user", [False, True], ids=["tweet", "user"])
+    def test_no_shards(self, dress_lexicon, by_user):
+        series, stats = ingest_tweets([], dress_lexicon, by_user=by_user)
         assert series.days == () and stats == StreamStats()
         totals = {date(2015, 2, 26): 5}
-        series, _ = ingest_tweets([], dress_lexicon, totals, mode=mode)
+        series, _ = ingest_tweets([], dress_lexicon, totals, by_user=by_user)
         [day] = series.days
         assert day.has_total and day.counts.counts == (5, 0, 0)
 
@@ -453,6 +467,11 @@ class TestSmallLoaders:
     def test_daily_totals_duplicate_date(self, tmp_path):
         path = write(tmp_path, "totals.csv", "date,total\n2015-02-26,1\n2015-02-26,2\n")
         with pytest.raises(DuplicateStanceRow):
+            load_daily_totals(path)
+
+    def test_daily_totals_header_only(self, tmp_path):
+        path = write(tmp_path, "totals.csv", "date,total\n")
+        with pytest.raises(EmptyInput):
             load_daily_totals(path)
 
     def test_daily_totals_bad_date(self, tmp_path):

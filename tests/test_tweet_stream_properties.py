@@ -55,7 +55,7 @@ TAG_SPELLINGS = [
 DAYS = [date(2016, 6, 21) + timedelta(days=i) for i in range(3)]
 
 
-def reference_ingest(paths, lexicon, totals, mode, error_budget):
+def reference_ingest(paths, lexicon, totals, by_user, error_budget):
     """The per-record path: every line becomes a TweetRecord first."""
     stats = StreamStats()
     records = []
@@ -83,7 +83,7 @@ def reference_ingest(paths, lexicon, totals, mode, error_budget):
                     stats.tagged[stance] = stats.tagged.get(stance, 0) + 1
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
         raise ErrorBudgetExceeded("over budget")
-    return build_daily_counts(records, lexicon, totals, mode=mode), stats
+    return build_daily_counts(records, lexicon, totals, by_user=by_user), stats
 
 
 def outcome(run):
@@ -167,20 +167,20 @@ totals_maps = st.none() | st.dictionaries(st.sampled_from(DAYS), st.integers(0, 
 @settings(deadline=None, max_examples=150)
 @given(
     shards=shard_sets,
-    mode=st.sampled_from(["tweet", "user"]),
+    by_user=st.booleans(),
     totals=totals_maps,
     newline=st.sampled_from(["\n", "\r\n"]),
     error_budget=st.sampled_from([0.0, 0.2, 1.0]),
 )
-def test_ingest_matches_reference_path(shards, mode, totals, newline, error_budget):
+def test_ingest_matches_reference_path(shards, by_user, totals, newline, error_budget):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, shard in enumerate(shards):
             path = Path(tmp) / f"shard{i}.jsonl"
             path.write_bytes(b"".join(line + newline.encode() for line in shard))
             paths.append(path)
-        expected = outcome(lambda: reference_ingest(paths, LEXICON, totals, mode, error_budget))
-        got = outcome(lambda: ingest_tweets(paths, LEXICON, totals, mode=mode,
+        expected = outcome(lambda: reference_ingest(paths, LEXICON, totals, by_user, error_budget))
+        got = outcome(lambda: ingest_tweets(paths, LEXICON, totals, by_user=by_user,
                                             error_budget=error_budget))
     assert got == expected
 
