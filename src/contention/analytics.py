@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import ContentionError, ImportanceOutOfDeclaredRange, MissingImportance
@@ -61,16 +60,15 @@ def timeseries(series: DailySeries, *, k_mode: KMode = "declared") -> list[Serie
 def region_contention(
     table: RegionTable,
     *,
-    k_mode: KMode = "declared",
     score: Callable[[StanceCounts], ContentionResult] | None = None,
 ) -> list[tuple[str, ContentionResult]]:
     """Contention per region plus the ``__all__`` aggregate, sorted by id.
 
-    ``score`` replaces the closed form at ``k_mode``, e.g. with a sampled
-    estimate.
+    ``score`` replaces the closed form at the declared k, e.g. with a
+    sampled estimate or an observed-k score.
     """
     if score is None:
-        score = partial(contention_exclusive, k_mode=k_mode)
+        score = contention_exclusive
     rows = list(table.rows)
     if all(r.region != ALL_REGIONS for r in rows):
         rows.append(all_regions_row(rows))

@@ -132,11 +132,6 @@ class StanceLexicon:
         except (TypeError, ValueError) as exc:
             raise MalformedRow(f"lexicon {path}: {exc}") from exc
 
-    @property
-    def contention_bearing(self) -> bool:
-        """At least two stances with a hashtag each can ever disagree."""
-        return sum(1 for s in self.stances if s.hashtags) >= 2
-
     def space(self) -> StanceSpace:
         return self._space
 
@@ -202,6 +197,8 @@ def tag_tweet_stance(
     more stances are ambiguous and default to no-stance (``ambiguous=
     "error"`` raises instead, for pipelines that want to audit them).
     """
+    if ambiguous not in ("no-stance", "error"):
+        raise ValueError(f"ambiguous must be 'no-stance' or 'error', got {ambiguous!r}")
     index = lexicon.tag_index()
     stance = _stance_for(tweet.hashtags, index)
     if stance is not None:
@@ -444,44 +441,49 @@ def _parse_date(text: str) -> date:
         raise MalformedRow(f"bad date {text!r} (want YYYY-MM-DD)") from exc
 
 
+def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
+    """Keep the first ``value`` a topic's rows give; a row of that topic
+    that gives another value is malformed."""
+    if seen.setdefault(topic, value) != value:
+        raise MalformedRow(f"topic {topic!r} carries conflicting {what}")
+
+
 def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     """Read poll toplines into one StanceCounts per topic, in file order.
 
     Accepts either a ``count`` column or a ``percent`` column; percentages
-    need a ``total`` (respondent count) column and are converted to
-    effective counts with round-half-to-even.  The ``__none__`` stance row
-    holds the no-answer group.
+    need a ``total`` (respondent count) column, the same on every row of a
+    topic, and are converted to effective counts with round-half-to-even.
+    The ``__none__`` stance row holds the no-answer group.
     """
-    topics = _read_grouped(path, "topic", "stance", _poll_row_count)
+    totals: dict[str, int] = {}
+
+    def parse(row: Mapping[str, str]) -> int:
+        if "count" in row:
+            return _parse_count(row["count"], row)
+        if "percent" not in row:
+            raise MalformedRow(f"poll rows need a 'count' or 'percent' column, got {dict(row)}")
+        try:
+            percent = Fraction(row["percent"])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedRow(f"bad percentage in row {dict(row)}") from exc
+        if percent < 0:
+            raise NegativeCount(f"negative percentage in row {dict(row)}")
+        total_text = (row.get("total") or "").strip()
+        if not total_text:
+            raise MissingTotal(f"percentage row without respondent total: {dict(row)}")
+        total = _parse_count(total_text, row)
+        _agree(totals, row["topic"], total, "respondent totals")
+        # round() on an exact Fraction is round-half-to-even, so rounding noise
+        # stays bounded by 1/total and never depends on float formatting.
+        return round(percent * total / 100)
+
+    topics = _read_grouped(path, "topic", "stance", parse)
     spaces: dict[tuple[str, ...], StanceSpace] = {}
     return [(topic, _exclusive_counts(stances, spaces)) for topic, stances in topics.items()]
 
 
-def _poll_row_count(row: Mapping[str, str]) -> int:
-    if "count" in row:
-        return _parse_count(row["count"], row)
-    if "percent" not in row:
-        raise MalformedRow(f"poll rows need a 'count' or 'percent' column, got {dict(row)}")
-    try:
-        percent = Fraction(row["percent"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedRow(f"bad percentage in row {dict(row)}") from exc
-    if percent < 0:
-        raise NegativeCount(f"negative percentage in row {dict(row)}")
-    total_text = (row.get("total") or "").strip()
-    if not total_text:
-        raise MissingTotal(f"percentage row without respondent total: {dict(row)}")
-    total = _parse_count(total_text, row)
-    # round() on an exact Fraction is round-half-to-even, so rounding noise
-    # stays bounded by 1/total and never depends on float formatting.
-    return round(percent * total / 100)
-
-
-def load_vote_records(
-    path: str | Path,
-    turnout: str = "ballots",
-    topic: str | None = None,
-) -> RegionTable:
+def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable:
     """Read regional votes; non-voters and rejected ballots carry no stance.
 
     ``turnout="ballots"``: g0 = rejected ballots (+ any ``__none__`` ballots).
@@ -517,7 +519,7 @@ def load_vote_records(
             raise MissingEligible(f"region {region!r} has no {ELIGIBLE} row")
         table_rows.append(RegionRow(region, counts, eligible))
     table_rows.append(all_regions_row(table_rows))
-    return RegionTable(topic or Path(path).stem, tuple(table_rows))
+    return RegionTable(Path(path).stem, tuple(table_rows))
 
 
 def load_daily_totals(path: str | Path) -> dict[date, int]:
@@ -539,30 +541,32 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     The importance rating must agree across a topic's rows; an empty field
     means the topic has no rating (rejected later unless skipped).
     """
-    topics = _read_grouped(path, "topic", "stance", _quadrant_row, ("count",))
+    ratings: dict[str, float | None] = {}
+
+    def parse(row: Mapping[str, str]) -> int:
+        count = _parse_count(row["count"], row)
+        _agree(ratings, row["topic"], _importance(row), "importance ratings")
+        return count
+
+    topics = _read_grouped(path, "topic", "stance", parse, ("count",))
     spaces: dict[tuple[str, ...], StanceSpace] = {}
-    out = []
-    for topic, rows in topics.items():
-        ratings = {rating for _, rating in rows.values()}
-        if len(ratings) > 1:
-            raise MalformedRow(f"topic {topic!r} carries conflicting importance ratings")
-        counts = _exclusive_counts({sid: count for sid, (count, _) in rows.items()}, spaces)
-        out.append((topic, counts, ratings.pop()))
-    return out
+    return [
+        (topic, _exclusive_counts(stances, spaces), ratings[topic])
+        for topic, stances in topics.items()
+    ]
 
 
-def _quadrant_row(row: Mapping[str, str]) -> tuple[int, float | None]:
-    count = _parse_count(row["count"], row)
+def _importance(row: Mapping[str, str]) -> float | None:
     text = (row.get("importance") or "").strip()
     if not text:
-        return count, None
+        return None
     try:
         rating = float(text)
     except ValueError as exc:
         raise MalformedRow(f"importance {text!r} is not a number in row {dict(row)}") from exc
     if not math.isfinite(rating):
         raise MalformedRow(f"importance {text!r} is not finite in row {dict(row)}")
-    return count, rating
+    return rating
 
 
 # -- daily tweet counting ------------------------------------------------------------

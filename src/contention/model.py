@@ -30,9 +30,9 @@ equal one, is checked in full.
 The table loaders share spaces: within one load, every topic that lists
 the same explicit stances in the same order holds one ``StanceSpace``.
 
-Held sets are interned per ``AssignmentSet``: a population has few distinct
-held sets and many people, so each distinct set is built, checked and
-turned into a bitmask once, and the scorers group people by set.
+Each ``AssignmentSet`` groups its people by held set once, when it is
+built, and checks each distinct set once; the scorers, ``observed_k``,
+``to_counts`` and ``restrict`` read that grouping instead of regrouping.
 
 numpy is imported by the two samplers when they are first called, so
 loading the package and the closed-form paths never pay for it.
@@ -45,7 +45,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, compress, repeat
+from operator import or_
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
@@ -210,14 +212,6 @@ class StanceSpace:
         """True when the matrix is exactly the mutually-exclusive pattern."""
         return self._exclusive
 
-    def conflict_row_mask(self, i: int) -> int:
-        """Bitmask of stance indices conflicting with stance index ``i``."""
-        mask = 0
-        for j, c in enumerate(self.conflicts[i]):
-            if c:
-                mask |= 1 << j
-        return mask
-
 
 @dataclass(frozen=True)
 class SubpopulationFilter:
@@ -322,18 +316,21 @@ class AssignmentSet:
     assignments: tuple[frozenset[int], ...]
     attributes: tuple[Mapping[str, str], ...] | None = None
     filter: SubpopulationFilter | None = None
+    #: distinct held set -> head count, in order of first appearance
+    _groups: Counter[frozenset[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         k = self.space.k
         # each person keeps their own frozenset.  Index types are checked over
-        # every person, since equal sets such as {1} and {1.0} are one key
+        # every person, since equal sets such as {1} and {1.0} are one group
         # below; each distinct set is then checked once, in order of first
         # appearance, so the first bad person raises
         cleaned = tuple(map(frozenset, self.assignments))
         if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(cleaned)))):
             wrong = next(i for i in chain.from_iterable(cleaned) if not isinstance(i, int))
             raise ValueError(f"stance index {wrong!r} is not an int")
-        for held in dict.fromkeys(cleaned):
+        groups = Counter(cleaned)
+        for held in groups:
             if not held:
                 raise ValueError("every person holds at least the no-stance sentinel")
             if 0 in held and len(held) > 1:
@@ -341,6 +338,7 @@ class AssignmentSet:
             if any(i < 0 or i > k for i in held):
                 raise ValueError(f"stance index out of range in {sorted(held)}")
         object.__setattr__(self, "assignments", cleaned)
+        object.__setattr__(self, "_groups", groups)
         if self.attributes is not None and len(self.attributes) != len(cleaned):
             raise ValueError("attributes must align one-to-one with assignments")
 
@@ -370,12 +368,12 @@ class AssignmentSet:
 
     @property
     def observed_k(self) -> int:
-        return len(set().union(*self.assignments) - {0})
+        return len(set().union(*self._groups) - {0})
 
     def to_counts(self) -> StanceCounts:
         """Derive StanceCounts; requires every person to hold exactly one stance."""
         row = [0] * (self.space.k + 1)
-        for held, size in Counter(self.assignments).items():
+        for held, size in self._groups.items():
             if len(held) != 1:
                 raise ValueError("counts are only derivable when everyone holds exactly one stance")
             row[next(iter(held))] += size
@@ -494,26 +492,13 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     )
 
 
-def _signature_groups(
-    assignments: AssignmentSet,
-) -> tuple[list[frozenset[int]], list[int], list[int]]:
-    """Group people by held set in order of first appearance; returns the
-    distinct sets, the bitmask of each and the head count of each."""
-    tally = Counter(assignments.assignments)
-    masks = [sum(1 << i for i in held) for held in tally]
-    return list(tally), masks, list(tally.values())
-
-
-def _opposing_masks(space: StanceSpace, masks: Sequence[int]) -> list[int]:
-    """For each held-stance mask, the mask of stances conflicting with it."""
-    out = []
-    for mask in masks:
-        opp = 0
-        for i in range(space.k + 1):
-            if mask >> i & 1:
-                opp |= space.conflict_row_mask(i)
-        out.append(opp)
-    return out
+def _group_masks(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
+    """For each distinct held set, in order of first appearance, its bitmask
+    and the bitmask of the stances that conflict with any stance in it."""
+    rows = [sum(1 << j for j, c in enumerate(row) if c) for row in assignments.space.conflicts]
+    groups = assignments._groups
+    masks = [sum(1 << i for i in held) for held in groups]
+    return masks, [reduce(or_, (rows[i] for i in held), 0) for held in groups]
 
 
 def _conflicting_ordered_pairs(assignments: AssignmentSet) -> int:
@@ -522,11 +507,11 @@ def _conflicting_ordered_pairs(assignments: AssignmentSet) -> int:
     People are grouped by their held-stance signature, so each distinct
     combination of stances is checked once against each other; this keeps
     multi-stance holders exact (a pair conflicting through several stance
-    pairs is still one pair) and costs O(n*k + m^2) for m signatures
+    pairs is still one pair) and costs O(k^2 + m*k + m^2) for m signatures
     instead of O(n^2) person pairs.
     """
-    _, masks, sizes = _signature_groups(assignments)
-    opposing = _opposing_masks(assignments.space, masks)
+    masks, opposing = _group_masks(assignments)
+    sizes = list(assignments._groups.values())
     total = 0
     for a in range(len(masks)):
         if masks[a] & opposing[a]:
@@ -578,13 +563,11 @@ def contention_sampled(
     space = assignments.space
     # each person's signature index, numbered in order of first appearance;
     # the hit count does not depend on how signatures are numbered
-    held_sets, masks, _ = _signature_groups(assignments)
-    sig_index = {held: i for i, held in enumerate(held_sets)}
+    sig_index = {held: i for i, held in enumerate(assignments._groups)}
     people = assignments.assignments
     person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=np.int64, count=n)
-    conflict = np.array(
-        [[bool(b & opp) for b in masks] for opp in _opposing_masks(space, masks)], dtype=bool
-    )
+    masks, opposing = _group_masks(assignments)
+    conflict = np.array([[bool(b & opp) for b in masks] for opp in opposing], dtype=bool)
 
     rng = np.random.default_rng(seed)
     first = person_sig[rng.integers(0, n, size=samples)]
@@ -678,7 +661,7 @@ def _restrict_assignments(assignments: AssignmentSet, flt: SubpopulationFilter) 
     # distinct held set, the other criteria once per person
     stance_ok = {
         held: all(not allowed.isdisjoint(all_ids[i] for i in held) for allowed in stance)
-        for held in set(people)
+        for held in assignments._groups
     }
     keep = [
         stance_ok[held] and all(attrs.get(attr) in allowed for attr, allowed in others)

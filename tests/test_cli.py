@@ -154,6 +154,15 @@ class TestPollCommand:
         assert record["error"] == "MalformedRow"
         assert record["message"].startswith(f"{path}, line 2: field larger than field limit")
 
+    def test_percent_totals_that_disagree_are_data_error(self, tmp_path, capsys):
+        path = write(tmp_path, "percent.csv",
+                     "topic,stance,percent,total\nt,a,50,1000\nt,b,50,999\n")
+        code, out, err = run_cli(["poll", path], capsys)
+        assert code == EX_DATA and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "MalformedRow", "message": "topic 't' carries conflicting respondent totals"}
+        ]
+
     def test_sampled_estimator_deterministic(self, poll_csv, capsys):
         argv = ["poll", poll_csv, "--samples", "20000", "--seed", "9"]
         code_a, out_a, _ = run_cli(argv, capsys)

@@ -129,6 +129,14 @@ class TestPollTopline:
         with pytest.raises(MissingTotal):
             load_poll_topline(path)
 
+    def test_percent_totals_must_agree_within_a_topic(self, tmp_path):
+        path = write(tmp_path, "poll.csv",
+                     "topic,stance,percent,total\n"
+                     "a,x,50,200\na,y,50,200\n"
+                     "b,x,50,100\nb,y,50,101\n")
+        with pytest.raises(MalformedRow, match="^topic 'b' carries conflicting respondent totals$"):
+            load_poll_topline(path)
+
     def test_multiple_topics_in_file_order(self, tmp_path):
         path = write(tmp_path, "poll.csv",
                      "topic,stance,count\nz_topic,a,1\nz_topic,b,1\na_topic,x,2\na_topic,y,2\n")
@@ -203,7 +211,6 @@ class TestVoteRecords:
 class TestLexiconAndTagging:
     def test_from_json(self, dress_lexicon):
         assert dress_lexicon.topic == "dress"
-        assert dress_lexicon.contention_bearing
         assert dress_lexicon.space().k == 2
 
     def test_duplicate_hashtag_across_stances(self, tmp_path):
@@ -248,6 +255,11 @@ class TestLexiconAndTagging:
         record = tweet("4", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
         with pytest.raises(AmbiguousStance):
             tag_tweet_stance(record, dress_lexicon, ambiguous="error")
+
+    def test_unknown_ambiguous_mode_rejected(self, dress_lexicon):
+        record = tweet("4", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
+        with pytest.raises(ValueError, match="^ambiguous must be 'no-stance' or 'error', got 'eror'$"):
+            tag_tweet_stance(record, dress_lexicon, ambiguous="eror")
 
     def test_multilingual_and_unicode_folding(self, dress_lexicon):
         record = tweet("5", "2015-02-26T12:00:00Z", "u1", ["NegroYAzul"])
@@ -492,7 +504,7 @@ class TestSmallLoaders:
     def test_quadrant_conflicting_importance(self, tmp_path):
         path = write(tmp_path, "quad.csv",
                      "topic,stance,count,importance\nt,a,1,3\nt,b,1,4\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match="^topic 't' carries conflicting importance ratings$"):
             load_quadrant_topics(path)
 
     def test_quadrant_non_numeric_importance(self, tmp_path):

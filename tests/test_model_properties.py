@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contention import model
+from contention.errors import EmptyPopulation
 from contention.model import (
     NO_STANCE,
     AssignmentSet,
@@ -182,6 +183,21 @@ def _reference_masks(people):
         yield mask
 
 
+def _reference_opposing(space, masks):
+    """For each mask, the mask of stances that conflict with any stance in
+    it, read cell by cell from the conflict matrix."""
+    out = []
+    for mask in masks:
+        opp = 0
+        for i, row in enumerate(space.conflicts):
+            if mask >> i & 1:
+                for j, conflicting in enumerate(row):
+                    if conflicting:
+                        opp |= 1 << j
+        out.append(opp)
+    return out
+
+
 def _reference_observed_k(people):
     held = set().union(*people.assignments) if people.assignments else set()
     return len(held - {0})
@@ -193,7 +209,7 @@ def _reference_general(people, k_mode):
         tally[mask] = tally.get(mask, 0) + 1
     masks = sorted(tally)
     sizes = [tally[m] for m in masks]
-    opposing = model._opposing_masks(people.space, masks)
+    opposing = _reference_opposing(people.space, masks)
     total = 0
     for a in range(len(masks)):
         if masks[a] & opposing[a]:
@@ -217,7 +233,7 @@ def _reference_sampled(people, samples, seed, k_mode):
         dtype=np.int64, count=n,
     )
     masks = list(sig_index)
-    opposing = model._opposing_masks(people.space, masks)
+    opposing = _reference_opposing(people.space, masks)
     conflict = np.array([[bool(b & opp) for b in masks] for opp in opposing], dtype=bool)
     rng = np.random.default_rng(seed)
     first = person_sig[rng.integers(0, n, size=samples)]
@@ -300,16 +316,29 @@ def repeated_populations(draw):
        st.sampled_from(["declared", "observed"]))
 def test_interned_sets_match_per_person_reference(case, seed, k_mode):
     """Grouping people by distinct held set gives the same values, reprs and
-    errors as walking every person: for the exact and sampled scores, the
-    observed k, counts and restrict."""
+    errors as walking every person: for restrict, and for the exact and
+    sampled scores, the observed k and counts of both the population and
+    its restricted slice, which groups its own people."""
     people, held, flt = case
     assert repr(people.assignments) == repr(held)
-    for result, reference in [
-        (contention_general(people, k_mode=k_mode), _reference_general(people, k_mode)),
-        (contention_sampled(people, 300, seed, k_mode=k_mode), _reference_sampled(people, 300, seed, k_mode)),
-        (people.observed_k, _reference_observed_k(people)),
-        (_outcome(people.to_counts), _outcome(lambda: _reference_to_counts(people))),
-        (restrict(people, flt), _reference_restrict(people, flt)),
-    ]:
+    sliced = restrict(people, flt)
+    pairs = [(sliced, _reference_restrict(people, flt))]
+    for population in (people, sliced):
+        pairs += [
+            (population.observed_k, _reference_observed_k(population)),
+            (_outcome(population.to_counts), _outcome(lambda: _reference_to_counts(population))),
+        ]
+        if population.n == 0:
+            with pytest.raises(EmptyPopulation):
+                contention_general(population, k_mode=k_mode)
+            with pytest.raises(EmptyPopulation):
+                contention_sampled(population, 300, seed, k_mode=k_mode)
+            continue
+        pairs += [
+            (contention_general(population, k_mode=k_mode), _reference_general(population, k_mode)),
+            (contention_sampled(population, 300, seed, k_mode=k_mode),
+             _reference_sampled(population, 300, seed, k_mode)),
+        ]
+    for result, reference in pairs:
         assert result == reference
         assert repr(result) == repr(reference)
