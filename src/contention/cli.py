@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from . import analytics, ingest
-from .errors import ConfigError, ContentionError, EmptyInput
+from .errors import ConfigError, ContentionError, EmptyInput, ResultTooLarge
 from .model import contention_exclusive, sampled_from_counts
 
 EX_OK = 0
@@ -267,18 +267,26 @@ def _write_records(records: list[dict[str, Any]], cfg: Mapping[str, Any]) -> Non
     precision = cfg["precision"]
 
     def emit(handle: TextIO) -> None:
-        if cfg["json"]:
-            for record in records:
-                rounded = {
-                    key: (round(v, precision) if isinstance(v, float) else v)
-                    for key, v in record.items()
-                }
-                handle.write(json.dumps(rounded) + "\n")
-        else:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(records[0].keys())
-            for record in records:
-                writer.writerow(_fmt(v, precision) for v in record.values())
+        try:
+            if cfg["json"]:
+                for record in records:
+                    rounded = {
+                        key: (round(v, precision) if isinstance(v, float) else v)
+                        for key, v in record.items()
+                    }
+                    handle.write(json.dumps(rounded) + "\n")
+            else:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(records[0].keys())
+                for record in records:
+                    writer.writerow(_fmt(v, precision) for v in record.values())
+        except ValueError as exc:
+            # str() and json.dumps refuse an integer longer than the
+            # interpreter's digit limit
+            raise ResultTooLarge(
+                f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                "too many to write as text"
+            ) from exc
 
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:

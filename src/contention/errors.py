@@ -83,3 +83,7 @@ class ImportanceOutOfDeclaredRange(ContentionError):
 
 class ConfigError(ContentionError):
     """An unreadable or contradictory config file."""
+
+
+class ResultTooLarge(ContentionError):
+    """A result integer with more digits than the interpreter writes as text."""

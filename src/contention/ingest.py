@@ -21,6 +21,11 @@ File schemas (UTF-8, RFC-4180 quoting):
 - stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``.
 - quadrant topics: header ``topic,stance,count,importance``.
 
+Each CSV is read by column position, found once from its header.  A UTF-8
+byte-order mark before the header is dropped.  A header that names a column
+the loader reads twice (``count`` in ``topic,stance,count,count``) is
+malformed; a repeated column no loader reads is legal.
+
 Poll, vote and quadrant rows are grouped by topic (region) and stance
 (option); a row with a missing field, an empty key or stance, or a repeated
 (key, stance) pair is malformed.  Each loader builds one StanceSpace per
@@ -34,6 +39,7 @@ import csv
 import json
 import math
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -345,18 +351,28 @@ def turnout_adjust(counts: StanceCounts, eligible: int, region: str | None = Non
     ``region``, when given, is named in the error."""
     if eligible < counts.total:
         where = "" if region is None else f"region {region!r}: "
-        raise EligibleLessThanVotes(f"{where}eligible {eligible} < {counts.total} ballots cast")
+        try:
+            ballots = str(counts.total)
+        except ValueError:  # more digits than the interpreter writes as text
+            ballots = f"more than {sys.get_int_max_str_digits()} digits of"
+        raise EligibleLessThanVotes(f"{where}eligible {eligible} < {ballots} ballots cast")
     return counts.with_no_stance(eligible - sum(counts.explicit))
 
 
 # -- CSV loaders -------------------------------------------------------------------
 
-def _read_csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Stream the rows of a CSV file whose header names every ``required``
-    column, as ``csv.DictReader`` would: blank lines are skipped and a long
-    row keeps its extra fields under the key None.  A row with fewer fields
-    than the header, or text the csv module cannot read, is malformed."""
-    with open(path, encoding="utf-8", newline="") as handle:
+def _read_csv_rows(
+    path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[list[str]]:
+    """Stream a CSV file as ``csv.reader`` field lists: first its header,
+    then the fields of each data row.
+
+    The header must name every ``required`` column and may name no
+    ``required`` or ``optional`` column twice; a UTF-8 byte-order mark
+    before it is dropped.  Blank lines are skipped and a long row keeps its
+    extra fields.  A row with fewer fields than the header, or text the csv
+    module cannot read, is malformed."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -365,45 +381,64 @@ def _read_csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[dict[s
             missing = [col for col in required if col not in header]
             if missing:
                 raise MalformedRow(f"{path}: header lacks column(s) {missing}")
+            repeated = [col for col in (*required, *optional) if header.count(col) > 1]
+            if repeated:
+                raise MalformedRow(f"{path}: header repeats column(s) {repeated}")
+            yield header
             width = len(header)
             for fields in reader:
-                if not fields:
-                    continue
-                row = dict(zip(header, fields))
                 if len(fields) < width:
-                    row.update(dict.fromkeys(header[len(fields):]))
-                    raise MalformedRow(f"{path}: short row {row}")
-                if len(fields) > width:
-                    row[None] = fields[width:]
-                yield row
+                    if not fields:
+                        continue
+                    raise MalformedRow(f"{path}: short row {_row(header, fields)}")
+                yield fields
         except csv.Error as exc:
             raise MalformedRow(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
+def _row(header: Sequence[str], fields: Sequence[str]) -> dict:
+    """A row as ``csv.DictReader`` reads it, for error messages: a missing
+    field reads None and extra fields are listed under the key None."""
+    row: dict = dict(zip(header, fields))
+    width = len(header)
+    if len(fields) < width:
+        row.update(dict.fromkeys(header[len(fields):]))
+    elif len(fields) > width:
+        row[None] = fields[width:]
+    return row
 
 
 def _read_grouped(
     path: str | Path,
     key: str,
     stance: str,
-    parse: Callable[[dict[str, str]], V],
+    parser: Callable[[list[str]], Callable[[str, str, list[str]], V]],
     values: Sequence[str] = (),
+    optional: Sequence[str] = (),
 ) -> dict[str, dict[str, V]]:
     """Rows grouped by their ``key`` cell, then by their ``stance`` cell, in
-    file order; ``parse`` turns each row into its value as it is read.
+    file order.  ``parser`` is given the header and returns the function
+    that turns a row's key, stance and fields into its value as it is read.
 
-    The header must also name the ``values`` columns.  A row with an empty
-    key or stance, or a (key, stance) pair seen before, is malformed.
+    The header must also name the ``values`` columns (see
+    ``_read_csv_rows`` for ``optional``).  A row with an empty key or
+    stance, or a (key, stance) pair seen before, is malformed.
     """
+    rows = _read_csv_rows(path, (key, stance, *values), optional)
+    header = next(rows)
+    at_key, at_stance = header.index(key), header.index(stance)
+    parse = parser(header)
     groups: dict[str, dict[str, V]] = {}
-    for row in _read_csv_rows(path, (key, stance, *values)):
-        group, sid = row[key], row[stance]
+    for fields in rows:
+        group, sid = fields[at_key], fields[at_stance]
         if not group or not sid:
-            raise MalformedRow(f"{path}: empty {key} or {stance} in row {row}")
+            raise MalformedRow(f"{path}: empty {key} or {stance} in row {_row(header, fields)}")
         bucket = groups.get(group)
         if bucket is None:
             bucket = groups[group] = {}
         if sid in bucket:
             raise DuplicateStanceRow(f"{group}/{sid} appears twice")
-        bucket[sid] = parse(row)
+        bucket[sid] = parse(group, sid, fields)
     if not groups:
         raise EmptyInput(f"{path}: no data rows")
     return groups
@@ -424,13 +459,15 @@ def _exclusive_counts(
     return StanceCounts(space, (g0, *explicit.values()))
 
 
-def _parse_count(text: str, row: Mapping[str, str]) -> int:
+def _parse_count(text: str, header: Sequence[str], fields: Sequence[str]) -> int:
     try:
         value = int(text)
-    except (TypeError, ValueError) as exc:
-        raise MalformedRow(f"count {text!r} is not an integer in row {dict(row)}") from exc
+    except ValueError as exc:
+        raise MalformedRow(
+            f"count {text!r} is not an integer in row {_row(header, fields)}"
+        ) from exc
     if value < 0:
-        raise NegativeCount(f"negative count in row {dict(row)}")
+        raise NegativeCount(f"negative count in row {_row(header, fields)}")
     return value
 
 
@@ -448,6 +485,17 @@ def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
         raise MalformedRow(f"topic {topic!r} carries conflicting {what}")
 
 
+def _percent_count(percent: Fraction, total: int) -> int:
+    """``round(percent * total / 100)`` in one exact integer step: the
+    quotient rounded half to even, so rounding noise stays bounded by
+    1/total and never depends on float formatting."""
+    den = 100 * percent.denominator
+    count, rest = divmod(percent.numerator * total, den)
+    if 2 * rest > den or (2 * rest == den and count & 1):
+        count += 1
+    return count
+
+
 def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     """Read poll toplines into one StanceCounts per topic, in file order.
 
@@ -458,27 +506,38 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     """
     totals: dict[str, int] = {}
 
-    def parse(row: Mapping[str, str]) -> int:
-        if "count" in row:
-            return _parse_count(row["count"], row)
-        if "percent" not in row:
-            raise MalformedRow(f"poll rows need a 'count' or 'percent' column, got {dict(row)}")
-        try:
-            percent = Fraction(row["percent"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedRow(f"bad percentage in row {dict(row)}") from exc
-        if percent < 0:
-            raise NegativeCount(f"negative percentage in row {dict(row)}")
-        total_text = (row.get("total") or "").strip()
-        if not total_text:
-            raise MissingTotal(f"percentage row without respondent total: {dict(row)}")
-        total = _parse_count(total_text, row)
-        _agree(totals, row["topic"], total, "respondent totals")
-        # round() on an exact Fraction is round-half-to-even, so rounding noise
-        # stays bounded by 1/total and never depends on float formatting.
-        return round(percent * total / 100)
+    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
+        if "count" in header:
+            at_count = header.index("count")
+            return lambda topic, sid, fields: _parse_count(fields[at_count], header, fields)
+        if "percent" not in header:
+            def no_layout(topic: str, sid: str, fields: list[str]) -> int:
+                raise MalformedRow(
+                    f"poll rows need a 'count' or 'percent' column, got {_row(header, fields)}"
+                )
+            return no_layout
+        at_percent = header.index("percent")
+        at_total = header.index("total") if "total" in header else None
 
-    topics = _read_grouped(path, "topic", "stance", parse)
+        def parse_percent(topic: str, sid: str, fields: list[str]) -> int:
+            try:
+                percent = Fraction(fields[at_percent])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedRow(f"bad percentage in row {_row(header, fields)}") from exc
+            if percent.numerator < 0:
+                raise NegativeCount(f"negative percentage in row {_row(header, fields)}")
+            total_text = "" if at_total is None else fields[at_total].strip()
+            if not total_text:
+                raise MissingTotal(
+                    f"percentage row without respondent total: {_row(header, fields)}"
+                )
+            total = _parse_count(total_text, header, fields)
+            _agree(totals, topic, total, "respondent totals")
+            return _percent_count(percent, total)
+
+        return parse_percent
+
+    topics = _read_grouped(path, "topic", "stance", parser, optional=("count", "percent", "total"))
     spaces: dict[tuple[str, ...], StanceSpace] = {}
     return [(topic, _exclusive_counts(stances, spaces)) for topic, stances in topics.items()]
 
@@ -497,14 +556,19 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
         raise ValueError(f"turnout must be 'ballots' or 'eligible', got {turnout!r}")
     options: dict[str, None] = {}  # the valid options, in the order the file names them
 
-    def parse(row: dict[str, str]) -> int:
-        if row["region"] == ALL_REGIONS:
-            raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
-        if row["option"] not in (ELIGIBLE, REJECTED, NO_STANCE):
-            options[row["option"]] = None
-        return _parse_count(row["count"], row)
+    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
+        at_count = header.index("count")
 
-    per_region = _read_grouped(path, "region", "option", parse, ("count",))
+        def parse(region: str, option: str, fields: list[str]) -> int:
+            if region == ALL_REGIONS:
+                raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
+            if option not in (ELIGIBLE, REJECTED, NO_STANCE):
+                options[option] = None
+            return _parse_count(fields[at_count], header, fields)
+
+        return parse
+
+    per_region = _read_grouped(path, "region", "option", parser, ("count",))
     space = StanceSpace.exclusive(list(options))
     table_rows = []
     for region, bucket in per_region.items():
@@ -524,12 +588,15 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
 
 def load_daily_totals(path: str | Path) -> dict[date, int]:
     """Read the ``date,total`` baseline counts (the G0 source) per UTC day."""
+    rows = _read_csv_rows(path, ("date", "total"))
+    header = next(rows)
+    at_date, at_total = header.index("date"), header.index("total")
     totals: dict[date, int] = {}
-    for row in _read_csv_rows(path, ("date", "total")):
-        day = _parse_date(row["date"])
+    for fields in rows:
+        day = _parse_date(fields[at_date])
         if day in totals:
-            raise DuplicateStanceRow(f"date {row['date']} appears twice in totals")
-        totals[day] = _parse_count(row["total"], row)
+            raise DuplicateStanceRow(f"date {fields[at_date]} appears twice in totals")
+        totals[day] = _parse_count(fields[at_total], header, fields)
     if not totals:
         raise EmptyInput(f"{path}: no data rows")
     return totals
@@ -543,12 +610,19 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     """
     ratings: dict[str, float | None] = {}
 
-    def parse(row: Mapping[str, str]) -> int:
-        count = _parse_count(row["count"], row)
-        _agree(ratings, row["topic"], _importance(row), "importance ratings")
-        return count
+    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
+        at_count = header.index("count")
+        at_importance = header.index("importance") if "importance" in header else None
 
-    topics = _read_grouped(path, "topic", "stance", parse, ("count",))
+        def parse(topic: str, sid: str, fields: list[str]) -> int:
+            count = _parse_count(fields[at_count], header, fields)
+            text = "" if at_importance is None else fields[at_importance]
+            _agree(ratings, topic, _importance(text, header, fields), "importance ratings")
+            return count
+
+        return parse
+
+    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",))
     spaces: dict[tuple[str, ...], StanceSpace] = {}
     return [
         (topic, _exclusive_counts(stances, spaces), ratings[topic])
@@ -556,16 +630,18 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     ]
 
 
-def _importance(row: Mapping[str, str]) -> float | None:
-    text = (row.get("importance") or "").strip()
+def _importance(text: str, header: Sequence[str], fields: Sequence[str]) -> float | None:
+    text = text.strip()
     if not text:
         return None
     try:
         rating = float(text)
     except ValueError as exc:
-        raise MalformedRow(f"importance {text!r} is not a number in row {dict(row)}") from exc
+        raise MalformedRow(
+            f"importance {text!r} is not a number in row {_row(header, fields)}"
+        ) from exc
     if not math.isfinite(rating):
-        raise MalformedRow(f"importance {text!r} is not finite in row {dict(row)}")
+        raise MalformedRow(f"importance {text!r} is not finite in row {_row(header, fields)}")
     return rating
 
 

@@ -154,6 +154,27 @@ class TestPollCommand:
         assert record["error"] == "MalformedRow"
         assert record["message"].startswith(f"{path}, line 2: field larger than field limit")
 
+    def test_repeated_count_column_is_data_error(self, tmp_path, capsys):
+        # read as csv.DictReader reads it, the second 'count' column was scored (n=8)
+        path = write(tmp_path, "poll.csv", "topic,stance,count,count\nt,a,5,7\nt,b,3,1\n")
+        code, out, err = run_cli(["poll", path], capsys)
+        assert code == EX_DATA and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "MalformedRow", "message": f"{path}: header repeats column(s) ['count']"}
+        ]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_population_too_long_to_write_is_data_error(self, tmp_path, flags, capsys):
+        # each count has as many digits as int() reads; their sum has one more
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "poll.csv", f"topic,stance,count\nt,a,{'9' * limit}\nt,b,5\n")
+        code, _, err = run_cli(["poll", path, *flags], capsys)
+        assert code == EX_DATA
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "ResultTooLarge",
+             "message": f"a result has more than {limit} digits, too many to write as text"}
+        ]
+
     def test_percent_totals_that_disagree_are_data_error(self, tmp_path, capsys):
         path = write(tmp_path, "percent.csv",
                      "topic,stance,percent,total\nt,a,50,1000\nt,b,50,999\n")
@@ -197,6 +218,17 @@ class TestVotesCommand:
         assert code == 0
         rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
         assert rows["us"][4] == "0.31"
+
+    def test_eligible_below_a_ballot_total_too_long_to_write(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "votes.csv",
+                     f"region,option,count\nr1,a,{'9' * limit}\nr1,b,7\nr1,__eligible__,30\n")
+        code, out, err = run_cli(["votes", path], capsys)
+        assert code == EX_DATA and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "EligibleLessThanVotes",
+             "message": f"region 'r1': eligible 30 < more than {limit} digits of ballots cast"}
+        ]
 
     def test_turnout_ballots_gives_two_candidate_value(self, us_votes_csv, capsys):
         code, out, _ = run_cli(["votes", us_votes_csv, "--precision", "2"], capsys)

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from datetime import date, datetime, timezone
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from contention.errors import (
 )
 from contention.ingest import (
     ALL_REGIONS,
+    _percent_count,
     RegionRow,
     all_regions_row,
     _read_csv_rows,
@@ -128,6 +130,15 @@ class TestPollTopline:
         path = write(tmp_path, "poll.csv", "topic,stance,percent,total\nt,a,50,\n")
         with pytest.raises(MissingTotal):
             load_poll_topline(path)
+
+    def test_neither_count_nor_percent_column(self, tmp_path):
+        path = write(tmp_path, "poll.csv", "topic,stance,share\nt,a,5\n")
+        with pytest.raises(MalformedRow) as info:
+            load_poll_topline(path)
+        assert str(info.value) == (
+            "poll rows need a 'count' or 'percent' column, got "
+            "{'topic': 't', 'stance': 'a', 'share': '5'}"
+        )
 
     def test_percent_totals_must_agree_within_a_topic(self, tmp_path):
         path = write(tmp_path, "poll.csv",
@@ -623,19 +634,32 @@ def test_grouped_csv_row_rule(tmp_path, loader, bad):
 
 
 def dictreader_rows(path, required):
-    """The row reader as it stood on ``csv.DictReader``: the behaviour
-    ``_read_csv_rows`` keeps."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    """The row reader as it stood on ``csv.DictReader``, with a required
+    column named twice rejected: the behaviour ``_read_csv_rows`` keeps."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise MalformedRow(f"{path}: missing header row")
         missing = [col for col in required if col not in reader.fieldnames]
         if missing:
             raise MalformedRow(f"{path}: header lacks column(s) {missing}")
+        repeated = [col for col in required if reader.fieldnames.count(col) > 1]
+        if repeated:
+            raise MalformedRow(f"{path}: header repeats column(s) {repeated}")
         for row in reader:
             if None in row.values():
                 raise MalformedRow(f"{path}: short row {row}")
             yield row
+
+
+def as_dicts(rows):
+    """``_read_csv_rows``'s header and field lists as DictReader's rows."""
+    header = next(rows)
+    for fields in rows:
+        row = dict(zip(header, fields))
+        if len(fields) > len(header):
+            row[None] = fields[len(header):]
+        yield row
 
 
 def rows_or_error(read):
@@ -656,7 +680,7 @@ def rows_or_error(read):
 def test_csv_rows_match_dictreader(tmp_path_factory, header, body):
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_text(header + body, encoding="utf-8", newline="")
-    assert rows_or_error(lambda: _read_csv_rows(path, ("a",))) == \
+    assert rows_or_error(lambda: as_dicts(_read_csv_rows(path, ("a",)))) == \
         rows_or_error(lambda: dictreader_rows(path, ("a",)))
 
 
@@ -669,8 +693,7 @@ class TestCsvRows:
     def test_long_row_keeps_extra_fields_under_none(self, tmp_path):
         path = write(tmp_path, "p.csv", "topic,stance,count\nt,a,3,x,y\nt,b,1\n")
         assert list(_read_csv_rows(path, ("topic",))) == [
-            {"topic": "t", "stance": "a", "count": "3", None: ["x", "y"]},
-            {"topic": "t", "stance": "b", "count": "1"},
+            ["topic", "stance", "count"], ["t", "a", "3", "x", "y"], ["t", "b", "1"],
         ]
         assert load_poll_topline(path)[0][1].counts == (0, 3, 1)
         bad = write(tmp_path, "bad.csv", "topic,stance,count\nt,a,three,x\n")
@@ -692,3 +715,89 @@ class TestCsvRows:
         path = write(tmp_path, "p.csv", "topic,stance,count\nt,a,1\nt,b," + "9" * 200_000 + "\n")
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}, line 3: field larger than field limit"):
             load_poll_topline(path)
+
+
+# every CSV loader: a valid file, for the header rules below
+CSV_LOADERS = {
+    "poll": (load_poll_topline, "topic,stance,count\nt,a,5\nt,b,3\n"),
+    "poll-percent": (load_poll_topline, "topic,stance,percent,total\nt,a,52.5,200\nt,b,47.5,200\n"),
+    "votes": (load_vote_records, "region,option,count\nr,a,5\nr,b,3\nr,__eligible__,9\n"),
+    "quadrant": (load_quadrant_topics, "topic,stance,count,importance\nt,a,5,7\nt,b,3,7\n"),
+    "totals": (load_daily_totals, "date,total\n2016-06-23,5\n2016-06-24,3\n"),
+}
+
+
+def loaded(load, path):
+    """What ``load`` reads from ``path``; of a vote table, its rows (its name
+    is the file stem)."""
+    result = load(path)
+    return getattr(result, "rows", result)
+
+
+def repeat_column(text, column):
+    """``text`` with its ``column``-th cell written twice on every line."""
+    return "".join(
+        ",".join(cells[:column + 1] + cells[column:]) + "\n"
+        for cells in (line.split(",") for line in text.splitlines())
+    )
+
+
+class TestCsvHeader:
+    @pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+    def test_byte_order_mark_is_dropped(self, tmp_path, loader):
+        load, text = CSV_LOADERS[loader]
+        plain = write(tmp_path, "plain.csv", text)
+        marked = tmp_path / "plain-bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert loaded(load, marked) == loaded(load, plain)
+
+    @pytest.mark.parametrize("loader, column, name", [
+        ("poll", 0, "topic"), ("poll", 1, "stance"), ("poll", 2, "count"),
+        ("poll-percent", 2, "percent"), ("poll-percent", 3, "total"),
+        ("votes", 0, "region"), ("votes", 2, "count"),
+        ("quadrant", 2, "count"), ("quadrant", 3, "importance"),
+        ("totals", 0, "date"), ("totals", 1, "total"),
+    ])
+    def test_repeated_column_the_loader_reads_is_malformed(self, tmp_path, loader, column, name):
+        load, text = CSV_LOADERS[loader]
+        path = write(tmp_path, "in.csv", repeat_column(text, column))
+        with pytest.raises(MalformedRow) as info:
+            load(path)
+        assert str(info.value) == f"{path}: header repeats column(s) ['{name}']"
+
+    @pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+    def test_repeated_column_the_loader_ignores_stays_legal(self, tmp_path, loader):
+        load, text = CSV_LOADERS[loader]
+        noted = "".join(f"{line},note,note\n" for line in text.splitlines())
+        assert loaded(load, write(tmp_path, "noted.csv", noted)) == \
+            loaded(load, write(tmp_path, "plain.csv", text))
+
+
+def percent_texts():
+    """Percent cells in every form ``Fraction`` reads."""
+    digits = st.integers(min_value=0, max_value=10**6)
+    decimals = st.builds(lambda whole, places, frac: f"{whole}.{frac % 10**places:0{places}d}"
+                         if places else str(whole),
+                         digits, st.integers(min_value=0, max_value=6), digits)
+    exponents = st.builds(lambda m, e: f"{m}e{e}", st.integers(0, 10**4), st.integers(-6, 6))
+    ratios = st.builds(lambda a, b: f"{a}/{b}", digits, st.integers(min_value=1, max_value=10**6))
+    return st.one_of(decimals, exponents, ratios)
+
+
+@settings(max_examples=500)
+@given(percent=percent_texts(), total=st.integers(min_value=0, max_value=10**12))
+def test_percent_count_rounds_like_fraction_round(percent, total):
+    exact = Fraction(percent)
+    assert _percent_count(exact, total) == round(exact * total / 100)
+
+
+@settings(max_examples=300)
+@given(quotient=st.integers(min_value=0, max_value=10**9),
+       total=st.integers(min_value=1, max_value=10**12))
+def test_percent_count_exact_halves_go_to_even(quotient, total):
+    # percent * total / 100 == quotient + 1/2 exactly
+    percent = Fraction(f"{(2 * quotient + 1) * 50}/{total}")
+    count = _percent_count(percent, total)
+    assert count == round(percent * total / 100)
+    assert count == quotient + quotient % 2
+

@@ -1,0 +1,161 @@
+"""The table commands (poll, votes, quadrant) through ``main()``: their
+output checked against the benchmark's independent oracle, and mutated
+inputs that must end in a clean exit."""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contention.cli import main
+
+# the benchmark's generator and oracle never import contention, so their
+# answers are independent of the code under test
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
+import oracle  # noqa: E402
+
+EX_OK, EX_DATA, EX_USAGE = 0, 2, 64
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main()`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# -- exit 0 must also be right ---------------------------------------------------
+
+DIFFERENTIAL = {
+    "poll": (lambda rng, path: gen.write_poll_counts(rng, path, 30, 8), []),
+    "poll-percent": (lambda rng, path: gen.write_poll_percent(rng, path, 30), []),
+    "votes": (lambda rng, path: gen.write_votes(rng, path, 20, 4), ["--turnout", "eligible"]),
+    "quadrant": (lambda rng, path: gen.write_quadrant(rng, path, 30),
+                 ["--importance-scale", "0", "10"]),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_output_matches_bench_oracle(tmp_path, case, seed):
+    write, flags = DIFFERENTIAL[case]
+    path = tmp_path / f"{case}.csv"
+    _, expected = write(gen.rng_for(case, seed), path)
+    code, out, err = run_main([case.split("-")[0], str(path), *flags])
+    assert (code, err) == (EX_OK, "")
+    assert oracle.check_csv(out, expected) == []
+
+
+# -- mutated inputs ----------------------------------------------------------------
+
+FIXTURES = {
+    "poll": [
+        (b"topic,stance,count\nt1,a,5\nt1,b,3\nt1,__none__,2\nt2,x,1\nt2,y,4\n", []),
+        (b"topic,stance,percent,total\nt1,a,52.5,200\nt1,b,47.5,200\nt2,x,1e1,30\n"
+         b"t2,y,9/2,30\nt2,__none__,85.5,30\n", []),
+    ],
+    "votes": [
+        (b"region,option,count\nr1,leave,10\nr1,remain,7\nr1,__rejected__,1\n"
+         b"r1,__eligible__,30\nr2,leave,3\nr2,remain,9\nr2,__none__,2\nr2,__eligible__,15\n",
+         ["--turnout", turnout])
+        for turnout in ("ballots", "eligible")
+    ],
+    "quadrant": [
+        (b"topic,stance,count,importance\nt1,a,5,7\nt1,b,3,7\nt1,__none__,1,7\n"
+         b"t2,x,1,2.5\nt2,y,4,2.5\n", ["--importance-scale", "0", "10"]),
+    ],
+}
+NUMBER = re.compile(rb"\d+(?:[./]\d+)?(?:e\d+)?")
+# what a number is swapped for: text, signs, forms int() or float() reject or
+# read, and a count with as many digits as int() reads (summed with any other
+# count, more digits than str() writes)
+SWAPS = [b"", b"x", b"-1", b" 7 ", b"1.5", b"1e3", b"nan", b"inf", b"1/0", b"\xd9\xa3",
+         b"1_000", b"\"4\"", b"9" * 4300]
+BOM = b"\xef\xbb\xbf"
+
+
+def _cells(data, edit):
+    """Apply ``edit`` to the comma-split cells of every line."""
+    return b"\n".join(b",".join(edit(line.split(b","))) for line in data.split(b"\n"))
+
+
+def _mutate(data, op, a, b):
+    """One mutation of a fixture; ``a`` and ``b`` pick where and what."""
+    if op == "truncate":
+        return data[:a % (len(data) + 1)]
+    if op == "flip":
+        if not data:
+            return data
+        i = a % len(data)
+        return data[:i] + bytes([data[i] ^ (b % 255 + 1)]) + data[i + 1:]
+    if op in ("swap", "huge"):
+        spots = list(NUMBER.finditer(data))
+        if not spots:
+            return data
+        spot = spots[a % len(spots)]
+        text = SWAPS[b % len(SWAPS)] if op == "swap" else b"9" * 140_000
+        return data[:spot.start()] + text + data[spot.end():]
+    if op == "drop-column":
+        return _cells(data, lambda cells: cells[:a % 5] + cells[a % 5 + 1:])
+    if op == "repeat-column":
+        return _cells(data, lambda cells: cells[:a % 5 + 1] + cells[a % 5:])
+    if op == "bom":
+        return BOM + data
+    if op == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    raise AssertionError(op)
+
+
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["truncate", "flip", "swap", "huge", "drop-column", "repeat-column",
+                         "bom", "crlf"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def check_mutated(tmp_path_factory, command, fixture, mutations):
+    data, flags = fixture
+    for op, a, b in mutations:
+        data = _mutate(data, op, a, b)
+    path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    path.write_bytes(data)
+    code, _, err = run_main([command, str(path), *flags])
+    assert code in (EX_OK, EX_DATA, EX_USAGE)
+    assert "Traceback" not in err
+    if code == EX_DATA:
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert sorted(record) == ["error", "message"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixture=st.sampled_from(FIXTURES["poll"]), mutations=MUTATIONS)
+def test_mutated_poll_input_exits_cleanly(tmp_path_factory, fixture, mutations):
+    check_mutated(tmp_path_factory, "poll", fixture, mutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixture=st.sampled_from(FIXTURES["votes"]), mutations=MUTATIONS)
+def test_mutated_votes_input_exits_cleanly(tmp_path_factory, fixture, mutations):
+    check_mutated(tmp_path_factory, "votes", fixture, mutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixture=st.sampled_from(FIXTURES["quadrant"]), mutations=MUTATIONS)
+def test_mutated_quadrant_input_exits_cleanly(tmp_path_factory, fixture, mutations):
+    check_mutated(tmp_path_factory, "quadrant", fixture, mutations)
