@@ -60,7 +60,7 @@ def _one_of(*words: str) -> Callable[[Any], str]:
 
 
 _BOOLEAN = _rule("JSON true or false", lambda v: isinstance(v, bool))
-_PATH = _rule("a path string", lambda v: isinstance(v, str))
+_PATH = _rule("a path string without NUL", lambda v: isinstance(v, str) and "\0" not in v)
 
 # every option: its default, and the one function that parses and checks its
 # value, as a flag's argparse ``type`` and for the same key in a config file.
@@ -206,7 +206,7 @@ def build_parser() -> _Parser:
 
 def _load_config(path: str) -> dict[str, Any]:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):

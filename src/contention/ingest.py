@@ -16,9 +16,11 @@ File schemas (UTF-8, RFC-4180 quoting):
 - daily totals:   header ``date,total`` with ``YYYY-MM-DD`` dates.
 - tweet stream:   one JSON object per line: ``id`` (str), ``ts`` (ISO-8601
   with offset; normalized to UTC), ``user`` (str), ``hashtags`` (a JSON
-  array of strings; a leading '#' is dropped).  Any other ``hashtags``
-  value makes the line malformed.
-- stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``.
+  array of strings, each put in ``normalize_hashtag`` form; any other
+  element counts as its ``str()``).  Any other ``hashtags`` value makes the
+  line malformed.
+- stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``,
+  a UTF-8 byte-order mark before it dropped.
 - quadrant topics: header ``topic,stance,count,importance``.
 
 Each CSV is read by column position, found once from its header.  A UTF-8
@@ -71,12 +73,15 @@ V = TypeVar("V")
 
 
 def normalize_hashtag(tag: str) -> str:
-    """Canonical hashtag form: NFC-normalized, case-folded, no leading '#'."""
+    """Canonical hashtag form: no leading '#', then NFC, case folding and NFC
+    again.  Case folding can undo NFC ('\u1f8c' folds to '\u1f04\u03b9', whose
+    iota composes with a following accent), so the second NFC is what makes
+    a canonical tag normalize to itself."""
     tag = tag.lstrip("#")
     if tag.isascii():
         # NFC leaves ASCII text unchanged, and casefold() equals lower() on it
         return tag.lower()
-    return unicodedata.normalize("NFC", tag).casefold()
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", tag).casefold())
 
 
 # -- stance lexicons and tweets ------------------------------------------------
@@ -119,7 +124,7 @@ class StanceLexicon:
     @classmethod
     def from_json(cls, path: str | Path) -> StanceLexicon:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedRow(f"cannot read lexicon {path}: {exc}") from exc
         try:
@@ -157,31 +162,45 @@ class TweetRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> TweetRecord:
-        return cls(*_tweet_fields(obj))
+        hashtags, ts, user = _tweet_fields(obj)
+        return cls(str(obj["id"]), _in_utc(ts, str(obj["ts"])), user,
+                   tuple([normalize_hashtag(str(t)) for t in hashtags]))
 
 
-def _tweet_fields(obj: Mapping) -> tuple[str, datetime, str, tuple[str, ...]]:
-    """Checked ``(id, UTC instant, user, normalized hashtags)`` of one decoded
-    tweet; raises MalformedRow or UnparseableTimestamp."""
+def _tweet_fields(obj: Mapping) -> tuple[list, datetime, str]:
+    """Checked ``(hashtags as decoded, instant as written, user)`` of one
+    decoded tweet, which must also carry an ``id``; raises MalformedRow or
+    UnparseableTimestamp."""
     try:
-        raw_tags = obj["hashtags"]
-        id_, ts, user = str(obj["id"]), parse_utc_timestamp(str(obj["ts"])), str(obj["user"])
+        hashtags = obj["hashtags"]
+        obj["id"]  # required, though the stream never reads it
+        ts, user = _parse_instant(str(obj["ts"])), str(obj["user"])
     except (KeyError, TypeError) as exc:
         raise MalformedRow(f"tweet record missing field: {exc}") from exc
-    if not isinstance(raw_tags, list):
-        raise MalformedRow(f"hashtags must be a JSON array, got {type(raw_tags).__name__}")
-    return id_, ts, user, tuple([normalize_hashtag(str(t)) for t in raw_tags])
+    if not isinstance(hashtags, list):
+        raise MalformedRow(f"hashtags must be a JSON array, got {type(hashtags).__name__}")
+    return hashtags, ts, user
 
 
 def parse_utc_timestamp(text: str) -> datetime:
     """ISO-8601 instant -> aware UTC datetime ('Z' accepted, naive = UTC)."""
+    return _in_utc(_parse_instant(text), text)
+
+
+def _parse_instant(text: str) -> datetime:
+    """An ISO-8601 instant as written: naive for UTC, or aware with its own
+    offset ('Z' accepted)."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:
-        ts = datetime.fromisoformat(cleaned)
+        return datetime.fromisoformat(cleaned)
     except ValueError as exc:
         raise UnparseableTimestamp(f"bad timestamp {text!r}") from exc
+
+
+def _in_utc(ts: datetime, text: str) -> datetime:
+    """``_parse_instant``'s result for ``text`` as an aware UTC datetime."""
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     try:
@@ -216,12 +235,17 @@ def tag_tweet_stance(
     return NO_STANCE
 
 
-def _stance_for(hashtags: Iterable[str], index: Mapping[str, str]) -> str | None:
-    """The tagging rule: the stance id when the hashtags match exactly one
-    stance's list; None when they match none, or more than one."""
+def _stance_for(hashtags: Iterable[object], index: Mapping[str, str]) -> str | None:
+    """The tagging rule: the stance id when the hashtags, each normalized,
+    match exactly one stance's list; None when they match none, or more than
+    one.  A tag that is not a string counts as its ``str()``."""
     found = None
     for tag in hashtags:
-        sid = index.get(tag)
+        if isinstance(tag, str) and tag.isascii():
+            # normalize_hashtag's ASCII branch, without a call per tag
+            sid = index.get(tag.lstrip("#").lower())
+        else:
+            sid = index.get(normalize_hashtag(str(tag)))
         if sid is not None and sid != found:
             if found is not None:
                 return None
@@ -245,9 +269,11 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 def iter_tweet_stream(
     path: str | Path, stats: StreamStats
-) -> Iterator[tuple[date, str, tuple[str, ...]]]:
-    """Yield ``(utc_day, user, normalized_hashtags)`` for each good line of a
-    JSONL shard, counting lines and bad lines in ``stats``.
+) -> Iterator[tuple[date, str, list]]:
+    """Yield ``(utc_day, user, raw_hashtags)`` for each good line of a JSONL
+    shard, counting lines and bad lines in ``stats``.  ``raw_hashtags`` is
+    the line's ``hashtags`` array as decoded, not normalized: the tagging
+    rule normalizes each tag as it reads it.
 
     A good line holds one JSON object and nothing else but JSON whitespace,
     exactly what ``json.loads`` accepts, with the fields that
@@ -257,6 +283,7 @@ def iter_tweet_stream(
     ratio still fits its budget.
     """
     decode = json.JSONDecoder().raw_decode
+    utc = timezone.utc
     # surrogateescape turns each byte that is not valid UTF-8 into a lone
     # surrogate U+DC80..U+DCFF, which strict UTF-8 never decodes to, so
     # only the line holding the byte is lost
@@ -272,14 +299,20 @@ def iter_tweet_stream(
                 obj, end = decode(text)
                 if end != len(text):
                     raise MalformedRow("trailing data after the JSON value")
-                _, ts, user, hashtags = _tweet_fields(obj)
+                hashtags, ts, user = _tweet_fields(obj)
+                # fromisoformat gives a zero offset the one timezone.utc, so
+                # this identity test skips the shift more cheaply than
+                # utcoffset() could; any other zone is shifted, correctly
+                zone = ts.tzinfo
+                day = (ts if zone is None or zone is utc else ts.astimezone(utc)).date()
             # ValueError covers JSONDecodeError and integers past the
-            # interpreter's digit limit
-            except (ValueError, MalformedRow, UnparseableTimestamp):
+            # interpreter's digit limit; OverflowError, a shift past the
+            # datetime range
+            except (ValueError, OverflowError, MalformedRow, UnparseableTimestamp):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
-            yield ts.date(), user, hashtags
+            yield day, user, hashtags
 
 
 # -- daily series ---------------------------------------------------------------
@@ -662,15 +695,18 @@ class _DayAccumulator:
         self.day_users: dict[date, dict[str, set[str]]] = {}
         self.user_stances: dict[str, set[str]] = {}
 
-    def add(self, day: date, user: str, hashtags: Iterable[str]) -> None:
-        stance = _stance_for(hashtags, self.index)
-        bucket = self.day_counts.get(day)
-        if bucket is None:
-            bucket = self.day_counts[day] = {}
-        bucket[stance] = bucket.get(stance, 0) + 1
-        if stance is not None and self.by_user:
-            self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
-            self.user_stances.setdefault(user, set()).add(stance)
+    def add_all(self, tweets: Iterable[tuple[date, str, Iterable[object]]]) -> None:
+        """Tally ``(utc_day, user, hashtags)`` tweets."""
+        index, by_user, day_counts = self.index, self.by_user, self.day_counts
+        for day, user, hashtags in tweets:
+            stance = _stance_for(hashtags, index)
+            bucket = day_counts.get(day)
+            if bucket is None:
+                bucket = day_counts[day] = {}
+            bucket[stance] = bucket.get(stance, 0) + 1
+            if stance is not None and by_user:
+                self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
+                self.user_stances.setdefault(user, set()).add(stance)
 
     def tagged(self) -> dict[str, int]:
         """Tagged tweets per stance id over every day; stances never tagged
@@ -730,8 +766,7 @@ def build_daily_counts(
     variant.  ``by_user=True`` counts distinct user ids instead of tweets.
     """
     acc = _DayAccumulator(lexicon, by_user)
-    for record in records:
-        acc.add(record.ts.date(), record.user, record.hashtags)
+    acc.add_all((record.ts.date(), record.user, record.hashtags) for record in records)
     return acc.finish(totals)
 
 
@@ -752,10 +787,8 @@ def ingest_tweets(
     """
     acc = _DayAccumulator(lexicon, by_user)
     stats = StreamStats()
-    add = acc.add
     for path in paths:
-        for day, user, hashtags in iter_tweet_stream(path, stats):
-            add(day, user, hashtags)
+        acc.add_all(iter_tweet_stream(path, stats))
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
         raise ErrorBudgetExceeded(
             f"{stats.parse_errors}/{stats.lines} lines unparseable "

@@ -419,6 +419,12 @@ class TestConfigAndHelp:
         )
         assert code == 0 and "0.0784\n" in out
 
+    def test_config_with_byte_order_mark(self, poll_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"precision": 2}).encode())
+        code, out, _ = run_cli(["poll", poll_csv, "--config", str(config)], capsys)
+        assert code == 0 and "0.08\n" in out
+
     def test_unknown_config_key_is_data_error(self, poll_csv, tmp_path, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({"frobnicate": 1}))
         code, _, err = run_cli(["poll", poll_csv, "--config", config], capsys)
@@ -435,7 +441,8 @@ class TestConfigAndHelp:
         ("samples", 1.5), ("seed", "x"), ("error_budget", "lots"), ("importance_scale", [5, 5]),
         ("importance_scale", "0 10"), ("error_budget", "nan"), ("error_budget", -0.1),
         ("error_budget", 1.5), ("json", "false"), ("by_user", "no"), ("out", True),
-        ("totals", 5), ("lexicon", ["x"]),
+        ("totals", 5), ("lexicon", ["x"]), ("out", "a\u0000b"), ("lexicon", "\u0000"),
+        ("totals", "totals.csv\u0000"),
     ])
     def test_bad_config_value_is_usage_error(self, poll_csv, tmp_path, key, value, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({key: value}))

@@ -280,6 +280,25 @@ class TestLexiconAndTagging:
         record = tweet("6", "2015-02-26T12:00:00Z", "u1", ["whiteandgold"])
         assert len({tag_tweet_stance(record, dress_lexicon) for _ in range(20)}) == 1
 
+    def test_from_json_drops_byte_order_mark(self, tmp_path, dress_lexicon):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(DRESS_LEXICON).encode())
+        assert StanceLexicon.from_json(path) == dress_lexicon
+
+    def test_tag_spelled_in_its_canonical_form_matches(self, tmp_path):
+        # case folding turns U+1F8C into U+1F04 U+03B9; NFC applied once
+        # more composes that iota with the accent into U+03AF
+        lexicon = StanceLexicon.from_json(write(tmp_path, "greek.json", json.dumps(
+            {"topic": "t", "stances": [{"id": "a", "hashtags": ["\u1f8c\u0301"]},
+                                       {"id": "b", "hashtags": ["other"]}]})))
+        assert lexicon.tag_index() == {"\u1f04\u03af": "a", "other": "b"}
+        stream = write(tmp_path, "s.jsonl", "".join(
+            json.dumps({"id": str(i), "ts": "2016-01-01T00:00:00Z", "user": "u",
+                        "hashtags": [tag]}) + "\n"
+            for i, tag in enumerate(["\u1f04\u03af", "\u1f04\u03b9\u0301", "#\u1f8c\u0301"])))
+        _, stats = ingest_tweets([stream], lexicon)
+        assert stats.tagged == {"a": 3}
+
     def test_tag_index_is_built_once_and_read_only(self, dress_lexicon):
         index = dress_lexicon.tag_index()
         assert index is dress_lexicon.tag_index()

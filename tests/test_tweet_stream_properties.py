@@ -15,7 +15,7 @@ import unicodedata
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contention.errors import (
@@ -41,7 +41,9 @@ LEXICON = StanceLexicon(
     (
         LexiconStance("leave", "Leave", frozenset(map(normalize_hashtag, ["voteleave", "Straße"]))),
         LexiconStance("remain", "Remain", frozenset(map(normalize_hashtag, ["strongerin", "café"]))),
-        LexiconStance("undecided", "Undecided", frozenset(map(normalize_hashtag, ["ΣΊΣΥΦΟΣ"]))),
+        # the tags true, null and 0 read as "true", "none" and "0"
+        LexiconStance("undecided", "Undecided",
+                      frozenset(map(normalize_hashtag, ["ΣΊΣΥΦΟΣ", "true", "none", "0"]))),
     ),
 )
 
@@ -50,7 +52,7 @@ LEXICON = StanceLexicon(
 TAG_SPELLINGS = [
     "voteleave", "VoteLeave", "#voteleave", "##VOTELEAVE", "straße", "STRASSE", "#Strasse",
     "strongerin", "#StrongerIn", "café", "cafe\u0301", "CAFE\u0301", "#Café", "cafe",
-    "σίσυφος", "ΣΊΣΥΦΟΣ", "nofilter", "#", "", "ß",
+    "σίσυφος", "ΣΊΣΥΦΟΣ", "nofilter", "#", "", "ß", "##", "###", "STRONGERIN", "#NOFILTER",
 ]
 DAYS = [date(2016, 6, 21) + timedelta(days=i) for i in range(3)]
 
@@ -97,20 +99,30 @@ def outcome(run):
 @st.composite
 def timestamps(draw):
     instant = datetime(2016, 6, 20) + timedelta(seconds=draw(st.integers(0, 5 * 86400)))
+    form = draw(st.sampled_from(
+        ["Z", "z", "+00:00", "-00:00", "naive", "offset", "range-end", "garbage"]))
+    if form == "range-end":
+        # within a few hours of either end of the datetime range, where a
+        # nonzero offset can shift the instant out of it
+        gap = timedelta(seconds=draw(st.integers(0, 3 * 3600)))
+        instant = draw(st.sampled_from([datetime.min + gap, datetime.max.replace(microsecond=0) - gap]))
     text = instant.isoformat()
-    form = draw(st.sampled_from(["Z", "z", "naive", "offset", "garbage"]))
-    if form == "offset":
+    if form in ("offset", "range-end"):
         minutes = draw(st.integers(-14 * 60 + 1, 14 * 60 - 1))
         sign = "-" if minutes < 0 else "+"
         text += f"{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
     elif form == "garbage":
         text = draw(st.sampled_from(["yesterday", "", "2016-13-40T00:00:00Z", text + "+25:00"]))
-    elif form != "naive":
+    elif form not in ("naive", "range-end"):
         text += form
     return draw(st.sampled_from(["", " "])) + text
 
 
-hashtags = st.lists(st.sampled_from(TAG_SPELLINGS) | st.text(max_size=6), max_size=4)
+# a tag that is not a string counts as its str()
+odd_tags = (st.sampled_from([True, False, None, 0, 1.5]) | st.integers() | st.floats()
+            | st.lists(st.sampled_from(TAG_SPELLINGS), max_size=2)
+            | st.dictionaries(st.sampled_from(TAG_SPELLINGS), st.integers(), max_size=1))
+hashtags = st.lists(st.sampled_from(TAG_SPELLINGS) | st.text(max_size=6) | odd_tags, max_size=4)
 users = st.sampled_from(["ann", "bob", "cy", "dee"]) | st.text(max_size=3)
 
 
@@ -185,6 +197,21 @@ def test_ingest_matches_reference_path(shards, by_user, totals, newline, error_b
     assert got == expected
 
 
-@given(st.text())
+def nfc(text):
+    return unicodedata.normalize("NFC", text)
+
+
+# letters and combining marks, where case folding can undo NFC
+tag_texts = st.text() | st.text(st.characters(categories=("L", "M")), max_size=4)
+
+
+@given(tag_texts)
 def test_normalize_hashtag_matches_its_definition(tag):
-    assert normalize_hashtag(tag) == unicodedata.normalize("NFC", tag.lstrip("#")).casefold()
+    assert normalize_hashtag(tag) == nfc(nfc(tag.lstrip("#")).casefold())
+
+
+@example("\u1f8c\u0301")
+@given(tag_texts)
+def test_normalize_hashtag_is_idempotent(tag):
+    once = normalize_hashtag(tag)
+    assert normalize_hashtag(once) == once
