@@ -9,7 +9,8 @@ everything untagged lands in the no-stance group.
 File schemas (UTF-8, RFC-4180 quoting):
 
 - poll topline:   header ``topic,stance,count`` or ``topic,stance,percent,total``;
-  stance literal ``__none__`` is the no-stance row.
+  stance literal ``__none__`` is the no-stance row.  A percent lies in
+  [0, 100] and writes no exponent past +-1000.
 - vote records:   header ``region,option,count``; option literals
   ``__eligible__`` (eligible population sidecar), ``__rejected__``
   (rejected ballots) and ``__none__`` (ballots counted as no stance).
@@ -125,7 +126,7 @@ class StanceLexicon:
     def from_json(cls, path: str | Path) -> StanceLexicon:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedRow(f"cannot read lexicon {path}: {exc}") from exc
         try:
             stances = []
@@ -307,8 +308,8 @@ def iter_tweet_stream(
                 day = (ts if zone is None or zone is utc else ts.astimezone(utc)).date()
             # ValueError covers JSONDecodeError and integers past the
             # interpreter's digit limit; OverflowError, a shift past the
-            # datetime range
-            except (ValueError, OverflowError, MalformedRow, UnparseableTimestamp):
+            # datetime range; RecursionError, a value nested too deep
+            except (ValueError, OverflowError, RecursionError, MalformedRow, UnparseableTimestamp):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
@@ -518,6 +519,22 @@ def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
         raise MalformedRow(f"topic {topic!r} carries conflicting {what}")
 
 
+#: the largest exponent magnitude a percent cell may write: ``Fraction``
+#: builds ten to that power, so past it the parse would cost time that
+#: grows with the exponent's value instead of the cell's length
+_PERCENT_EXPONENT_LIMIT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def _parse_percent(text: str) -> Fraction:
+    """A percent cell's exact value; ValueError when ``Fraction`` cannot
+    read it or its exponent lies past +-``_PERCENT_EXPONENT_LIMIT``."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _PERCENT_EXPONENT_LIMIT:
+        raise ValueError(f"exponent past +-{_PERCENT_EXPONENT_LIMIT}")
+    return Fraction(text)
+
+
 def _percent_count(percent: Fraction, total: int) -> int:
     """``round(percent * total / 100)`` in one exact integer step: the
     quotient rounded half to even, so rounding noise stays bounded by
@@ -554,11 +571,13 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
 
         def parse_percent(topic: str, sid: str, fields: list[str]) -> int:
             try:
-                percent = Fraction(fields[at_percent])
+                percent = _parse_percent(fields[at_percent])
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedRow(f"bad percentage in row {_row(header, fields)}") from exc
             if percent.numerator < 0:
                 raise NegativeCount(f"negative percentage in row {_row(header, fields)}")
+            if percent.numerator > 100 * percent.denominator:
+                raise MalformedRow(f"percentage above 100 in row {_row(header, fields)}")
             total_text = "" if at_total is None else fields[at_total].strip()
             if not total_text:
                 raise MissingTotal(

@@ -35,7 +35,13 @@ built, and checks each distinct set once; the scorers, ``observed_k``,
 ``to_counts`` and ``restrict`` read that grouping instead of regrouping.
 
 numpy is imported by the two samplers when they are first called, so
-loading the package and the closed-form paths never pay for it.
+loading the package and the closed-form paths never pay for it.  For a
+given seed they make exactly the draws of ``Generator.integers`` (people)
+and ``Generator.choice`` (stance counts).  Drawn indices are kept in the
+narrowest unsigned dtype and hits are counted in blocks of 2**16 draws, so
+at its peak ``contention_sampled`` holds about 10 bytes per draw (an int64
+array of drawn people, then a byte per side up to 256 distinct held sets)
+and ``sampled_from_counts`` about 2 (a byte per side up to 254 stances).
 
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
@@ -540,6 +546,27 @@ def contention_general(assignments: AssignmentSet, *, k_mode: KMode = "declared"
     )
 
 
+#: draws handled per step when sampled draws are mapped and counted
+_BLOCK = 1 << 16
+
+
+def _count_hits(conflicts: Sequence[Sequence[bool]], first, second) -> int:
+    """Number of draws i with ``conflicts[first[i]][second[i]]``, read from
+    the flattened square matrix one block of draws at a time, so no
+    temporary grows past ``_BLOCK`` cell indices."""
+    import numpy as np
+
+    flat = np.frombuffer(b"".join(map(bytes, conflicts)), dtype=bool)
+    width = len(conflicts)
+    hits = 0
+    for start in range(0, len(first), _BLOCK):
+        cells = first[start:start + _BLOCK].astype(np.intp)
+        cells *= width
+        cells += second[start:start + _BLOCK]
+        hits += int(np.count_nonzero(flat[cells]))
+    return hits
+
+
 def contention_sampled(
     assignments: AssignmentSet,
     samples: int,
@@ -561,18 +588,20 @@ def contention_sampled(
     import numpy as np
 
     space = assignments.space
-    # each person's signature index, numbered in order of first appearance;
-    # the hit count does not depend on how signatures are numbered
+    # each person's signature index, numbered in order of first appearance
+    # and held in the narrowest unsigned dtype; the hit count does not
+    # depend on how signatures are numbered
     sig_index = {held: i for i, held in enumerate(assignments._groups)}
     people = assignments.assignments
-    person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=np.int64, count=n)
+    dtype = np.min_scalar_type(len(sig_index) - 1)
+    person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=dtype, count=n)
     masks, opposing = _group_masks(assignments)
-    conflict = np.array([[bool(b & opp) for b in masks] for opp in opposing], dtype=bool)
+    conflicts = [[bool(b & opp) for b in masks] for opp in opposing]
 
     rng = np.random.default_rng(seed)
     first = person_sig[rng.integers(0, n, size=samples)]
     second = person_sig[rng.integers(0, n, size=samples)]
-    hits = int(conflict[first, second].sum())
+    hits = _count_hits(conflicts, first, second)
     k = _norm_k(space.k, assignments.observed_k, k_mode)
     return _result_from_ratio(
         hits, samples, k=k, population=n, method="general-sampled",
@@ -592,6 +621,13 @@ def sampled_from_counts(
     Drawing a person uniformly and reading off their stance is the same as
     drawing a stance index with probability proportional to its count, so
     huge populations sample in O(samples) regardless of size.
+
+    The draws are those of two ``Generator.choice(k + 1, size=samples,
+    p=weights)`` calls: ``samples`` uniforms each, read against
+    ``cdf = cumsum(weights); cdf /= cdf[-1]`` with ``side="right"``.  A
+    uniform is mapped through a table over 2**bits equal slices of [0, 1):
+    a slice that no cdf edge cuts gives its stance at once, and only a
+    uniform in a cut slice is searched for.
     """
     n = counts.total
     if n == 0:
@@ -601,12 +637,34 @@ def sampled_from_counts(
     import numpy as np
 
     space = counts.space
-    matrix = np.array(space.conflicts, dtype=bool)
-    weights = np.array(counts.counts, dtype=np.float64) / n
+    # count / n correctly rounded: for n < 2**53 the float64 quotient of
+    # float64 operands, and still a float in [0, 1] when n is too large
+    # for a float64
+    cdf = np.array([c / n for c in counts.counts]).cumsum()
+    cdf /= cdf[-1]
+    # the table grows with the draws it serves, up to 4096 slices; scaling
+    # by a power of two is exact, so uniform * size keeps every comparison
+    size = 1 << min(12, samples.bit_length() // 2 + 4)
+    edges = cdf * size
+    starts = edges.searchsorted(np.arange(size + 1, dtype=np.float64), side="right")
+    cut = space.k + 1  # marks a slice a cdf edge may cut
+    dtype = np.min_scalar_type(cut)
+    table = np.where(starts[:-1] == starts[1:], starts[:-1], cut).astype(dtype)
+
     rng = np.random.default_rng(seed)
-    first = rng.choice(space.k + 1, size=samples, p=weights)
-    second = rng.choice(space.k + 1, size=samples, p=weights)
-    hits = int(matrix[first, second].sum())
+    draws = []
+    for _ in range(2):
+        drawn = np.empty(samples, dtype=dtype)
+        for start in range(0, samples, _BLOCK):
+            uniform = rng.random(min(_BLOCK, samples - start))
+            uniform *= size
+            stance = table[uniform.astype(np.intp)]
+            searched = stance == cut
+            if searched.any():
+                stance[searched] = edges.searchsorted(uniform[searched], side="right")
+            drawn[start:start + len(stance)] = stance
+        draws.append(drawn)
+    hits = _count_hits(space.conflicts, *draws)
     k = _norm_k(space.k, counts.observed_k, k_mode)
     return _result_from_ratio(
         hits, samples, k=k, population=n, method="general-sampled",

@@ -193,6 +193,17 @@ class TestPollCommand:
         normalized = float(out_a.strip().splitlines()[1].split(",")[-1])
         assert math.isclose(normalized, 0.0784, abs_tol=0.02)
 
+    @pytest.mark.parametrize("command", ["poll", "votes"])
+    @pytest.mark.parametrize("a, b", [("9" * 309, "5"), ("15" + "0" * 307, "15" + "0" * 307)],
+                             ids=["past-float-range", "sum-past-float-range"])
+    def test_sampled_counts_past_the_float_range(self, tmp_path, command, a, b, capsys):
+        header = "topic,stance,count" if command == "poll" else "region,option,count"
+        path = write(tmp_path, "big.csv", f"{header}\nt,a,{a}\nt,b,{b}\n")
+        code, out, err = run_cli([command, path, "--samples", "10"], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(row[1] == str(int(a) + int(b)) for row in rows)
+
     def test_brexit_national_fixture(self, tmp_path, capsys):
         path = write(tmp_path, "brexit.csv",
                      "topic,stance,count\nbrexit,leave,17410742\nbrexit,remain,16141241\n")
@@ -336,6 +347,17 @@ class TestTweetsCommand:
         assert code == EX_DATA
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ErrorBudgetExceeded"
 
+    def test_line_nested_past_the_recursion_limit_counts_as_malformed(self, tmp_path, capsys):
+        good = tweet_line(1, "2016-06-21T08:00:00Z", "u", ["voteleave"])
+        stream = write(tmp_path, "deep.jsonl", good + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        lexicon = write(tmp_path, "lex.json", json.dumps(BREXIT_LEXICON))
+        code, out, err = run_cli(
+            ["tweets", stream, "--lexicon", lexicon, "--error-budget", "1"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("2016-06-21,,1,2,")
+        assert err.splitlines()[0] == "# tweets: 1 parsed, 1 parse errors (50.00%)"
+
     def test_missing_lexicon_is_usage_error(self, tweet_fixture, capsys):
         stream, _, _ = tweet_fixture
         code, _, _ = run_cli(["tweets", stream], capsys)
@@ -424,6 +446,15 @@ class TestConfigAndHelp:
         config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"precision": 2}).encode())
         code, out, _ = run_cli(["poll", poll_csv, "--config", str(config)], capsys)
         assert code == 0 and "0.08\n" in out
+
+    def test_config_nested_past_the_recursion_limit_is_config_error(self, poll_csv, tmp_path,
+                                                                     capsys):
+        config = write(tmp_path, "cfg.json", "[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
+        assert (code, out) == (EX_DATA, "")
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot read config {config}: maximum recursion")
 
     def test_unknown_config_key_is_data_error(self, poll_csv, tmp_path, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({"frobnicate": 1}))

@@ -121,6 +121,28 @@ class TestPollTopline:
         [(_, counts)] = load_poll_topline(path)
         assert counts.explicit == (0, 2, 198)
 
+    @pytest.mark.parametrize("cell", ["1e1001", "1e1000000", "1e-1001", "1e-999999999",
+                                      "0e999999999", "1e" + "9" * 4300, "1e1_0000"])
+    def test_percent_exponent_past_the_limit_is_malformed(self, tmp_path, cell):
+        path = write(tmp_path, "poll.csv", f"topic,stance,percent,total\nt,a,{cell},100\nt,b,5,100\n")
+        with pytest.raises(MalformedRow, match="^bad percentage in row "):
+            load_poll_topline(path)
+
+    @pytest.mark.parametrize("cell", ["100.0001", "1e3", "1e1000", "2000/19"])
+    def test_percent_above_100_is_malformed(self, tmp_path, cell):
+        path = write(tmp_path, "poll.csv", f"topic,stance,percent,total\nt,a,{cell},100\nt,b,5,100\n")
+        with pytest.raises(MalformedRow, match="^percentage above 100 in row "):
+            load_poll_topline(path)
+
+    def test_percent_exponents_within_the_limit(self, tmp_path):
+        path = write(tmp_path, "poll.csv",
+                     "topic,stance,percent,total\n"
+                     "t,a,1e2,10\n"                    # exactly 100
+                     "t,b,1e-1000,10\n"                # rounds to nobody
+                     "t,c,0.000001E+6 ,10\n")          # 1 percent, case and space as Fraction reads
+        [(_, counts)] = load_poll_topline(path)
+        assert counts.explicit == (10, 0, 0)
+
     def test_percent_missing_total(self, tmp_path):
         path = write(tmp_path, "poll.csv", "topic,stance,percent\nt,a,50\n")
         with pytest.raises((MissingTotal, MalformedRow)):
@@ -279,6 +301,11 @@ class TestLexiconAndTagging:
     def test_determinism(self, dress_lexicon):
         record = tweet("6", "2015-02-26T12:00:00Z", "u1", ["whiteandgold"])
         assert len({tag_tweet_stance(record, dress_lexicon) for _ in range(20)}) == 1
+
+    def test_lexicon_nested_past_the_recursion_limit_is_malformed(self, tmp_path):
+        path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(MalformedRow, match=f"^cannot read lexicon {re.escape(str(path))}: "):
+            StanceLexicon.from_json(path)
 
     def test_from_json_drops_byte_order_mark(self, tmp_path, dress_lexicon):
         path = tmp_path / "bom.json"

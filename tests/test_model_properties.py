@@ -20,6 +20,7 @@ from contention.model import (
     contention_sampled,
     max_contention,
     restrict,
+    sampled_from_counts,
 )
 
 from conftest import (
@@ -244,6 +245,24 @@ def _reference_sampled(people, samples, seed, k_mode):
                                     samples=samples, seed=seed, flt=people.filter)
 
 
+def _reference_sampled_from_counts(counts, samples, seed, k_mode):
+    """The counts sampler written with ``Generator.choice``: the draws that
+    the table lookup of ``sampled_from_counts`` must reproduce."""
+    import numpy as np
+
+    space = counts.space
+    n = counts.total
+    matrix = np.array(space.conflicts, dtype=bool)
+    weights = np.array(counts.counts, dtype=np.float64) / n
+    rng = np.random.default_rng(seed)
+    first = rng.choice(space.k + 1, size=samples, p=weights)
+    second = rng.choice(space.k + 1, size=samples, p=weights)
+    hits = int(matrix[first, second].sum())
+    k = model._norm_k(space.k, counts.observed_k, k_mode)
+    return model._result_from_ratio(hits, samples, k=k, population=n, method="general-sampled",
+                                    samples=samples, seed=seed, flt=counts.filter)
+
+
 def _reference_to_counts(people):
     row = [0] * (people.space.k + 1)
     for held in people.assignments:
@@ -342,3 +361,51 @@ def test_interned_sets_match_per_person_reference(case, seed, k_mode):
     for result, reference in pairs:
         assert result == reference
         assert repr(result) == repr(reference)
+
+
+@st.composite
+def sampler_counts(draw):
+    """Counts over 1..300 stances, zeros among them, with a population below
+    2**53, over the exclusive space or a sparse conflict relation."""
+    k = draw(st.integers(min_value=1, max_value=300))
+    cap = (2**53 - 1) // (k + 1)
+    value = st.just(0) | st.integers(min_value=1, max_value=8) | st.integers(min_value=0, max_value=cap)
+    values = draw(st.lists(value, min_size=k + 1, max_size=k + 1))
+    if not any(values):
+        values[draw(st.integers(min_value=0, max_value=k))] = 1
+    ids = [f"s{i}" for i in range(1, k + 1)]
+    if draw(st.booleans()):
+        space = StanceSpace.exclusive(ids)
+    else:
+        index = st.integers(min_value=0, max_value=k - 1)
+        pairs = draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]), max_size=20))
+        space = StanceSpace.from_conflict_pairs(ids, [(ids[a], ids[b]) for a, b in pairs])
+    return StanceCounts(space, tuple(values))
+
+
+@settings(deadline=None)
+@given(sampler_counts(),
+       st.integers(min_value=1, max_value=3 * model._BLOCK + 7)
+       | st.sampled_from([model._BLOCK - 1, model._BLOCK, model._BLOCK + 1, 3 * model._BLOCK + 7]),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["declared", "observed"]))
+def test_counts_sampler_draws_what_generator_choice_draws(counts, samples, seed, k_mode):
+    result = sampled_from_counts(counts, samples, seed, k_mode=k_mode)
+    reference = _reference_sampled_from_counts(counts, samples, seed, k_mode)
+    assert repr(result) == repr(reference)
+
+
+def test_people_sampler_matches_reference_past_one_block():
+    # 10 stances held one to five at a time give hundreds of distinct sets,
+    # more than one byte numbers
+    rng = random.Random(12)
+    ids = [f"s{i}" for i in range(1, 11)]
+    space = StanceSpace.from_conflict_pairs(
+        ids, [(a, b) for a in ids for b in ids if a < b and rng.random() < 0.3])
+    held = tuple(frozenset(rng.sample(range(1, 11), rng.randint(1, 5))) for _ in range(3000))
+    people = AssignmentSet(space, held)
+    assert len(people._groups) > 256
+    samples = 3 * model._BLOCK + 7
+    for seed in (0, 41):
+        assert repr(contention_sampled(people, samples, seed)) == \
+            repr(_reference_sampled(people, samples, seed, "declared"))
