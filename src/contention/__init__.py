@@ -24,14 +24,11 @@ from .ingest import (
     RegionRow,
     RegionTable,
     StanceLexicon,
-    TweetRecord,
-    build_daily_counts,
     ingest_tweets,
     load_daily_totals,
     load_poll_topline,
     load_quadrant_topics,
     load_vote_records,
-    tag_tweet_stance,
     turnout_adjust,
 )
 from .model import (
@@ -68,8 +65,6 @@ __all__ = [
     "StanceLexicon",
     "StanceSpace",
     "SubpopulationFilter",
-    "TweetRecord",
-    "build_daily_counts",
     "contention_exclusive",
     "contention_general",
     "contention_sampled",
@@ -84,7 +79,6 @@ __all__ = [
     "region_contention",
     "restrict",
     "sampled_from_counts",
-    "tag_tweet_stance",
     "timeseries",
     "turnout_adjust",
 ]

@@ -91,7 +91,7 @@ file schemas (UTF-8 CSV with RFC-4180 quoting unless noted):
                   (eligible population), `__rejected__` (rejected ballots),
                   `__none__` (ballots counted as no stance)
   tweet stream    JSON lines: {"id", "ts" (ISO-8601, UTC or offset),
-                  "user", "hashtags" (no '#')}
+                  "user", "hashtags" (a leading '#' dropped)}
   stance lexicon  JSON: {"topic", "stances": [{"id", "label", "hashtags"}]}
   daily totals    header `date,total`, dates YYYY-MM-DD
   quadrant input  header `topic,stance,count,importance`

@@ -53,14 +53,6 @@ class TotalLessThanStanceCounts(ContentionError):
     """A day's sample total smaller than the stance-tagged count."""
 
 
-class UnparseableTimestamp(ContentionError):
-    """A tweet timestamp that is not valid ISO-8601."""
-
-
-class AmbiguousStance(ContentionError):
-    """A tweet matched hashtags from more than one stance (strict mode only)."""
-
-
 class ErrorBudgetExceeded(ContentionError):
     """Too many unparseable lines in a tweet stream."""
 

@@ -15,11 +15,12 @@ File schemas (UTF-8, RFC-4180 quoting):
   ``__eligible__`` (eligible population sidecar), ``__rejected__``
   (rejected ballots) and ``__none__`` (ballots counted as no stance).
 - daily totals:   header ``date,total`` with ``YYYY-MM-DD`` dates.
-- tweet stream:   one JSON object per line: ``id`` (str), ``ts`` (ISO-8601
-  with offset; normalized to UTC), ``user`` (str), ``hashtags`` (a JSON
-  array of strings, each put in ``normalize_hashtag`` form; any other
-  element counts as its ``str()``).  Any other ``hashtags`` value makes the
-  line malformed.
+- tweet stream:   one JSON object per line: ``id`` (required, but never
+  read), ``ts`` (ISO-8601 with offset, or naive for UTC; its UTC calendar
+  day is kept), ``user`` (read as the ``str()`` of any JSON value),
+  ``hashtags`` (a JSON array of strings, each put in ``normalize_hashtag``
+  form; any other element counts as its ``str()``).  Any other
+  ``hashtags`` value makes the line malformed.
 - stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``,
   a UTF-8 byte-order mark before it dropped.
 - quadrant topics: header ``topic,stance,count,importance``.
@@ -52,7 +53,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
-    AmbiguousStance,
     DuplicateStanceRow,
     EligibleLessThanVotes,
     EmptyInput,
@@ -62,7 +62,6 @@ from .errors import (
     MissingTotal,
     NegativeCount,
     TotalLessThanStanceCounts,
-    UnparseableTimestamp,
 )
 from .model import NO_STANCE, StanceCounts, StanceSpace
 
@@ -152,90 +151,6 @@ class StanceLexicon:
         return self._index
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One tweet: id, UTC instant, author, normalized hashtags."""
-
-    id: str
-    ts: datetime
-    user: str
-    hashtags: tuple[str, ...]
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> TweetRecord:
-        hashtags, ts, user = _tweet_fields(obj)
-        return cls(str(obj["id"]), _in_utc(ts, str(obj["ts"])), user,
-                   tuple([normalize_hashtag(str(t)) for t in hashtags]))
-
-
-def _tweet_fields(obj: Mapping) -> tuple[list, datetime, str]:
-    """Checked ``(hashtags as decoded, instant as written, user)`` of one
-    decoded tweet, which must also carry an ``id``; raises MalformedRow or
-    UnparseableTimestamp."""
-    try:
-        hashtags = obj["hashtags"]
-        obj["id"]  # required, though the stream never reads it
-        ts, user = _parse_instant(str(obj["ts"])), str(obj["user"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedRow(f"tweet record missing field: {exc}") from exc
-    if not isinstance(hashtags, list):
-        raise MalformedRow(f"hashtags must be a JSON array, got {type(hashtags).__name__}")
-    return hashtags, ts, user
-
-
-def parse_utc_timestamp(text: str) -> datetime:
-    """ISO-8601 instant -> aware UTC datetime ('Z' accepted, naive = UTC)."""
-    return _in_utc(_parse_instant(text), text)
-
-
-def _parse_instant(text: str) -> datetime:
-    """An ISO-8601 instant as written: naive for UTC, or aware with its own
-    offset ('Z' accepted)."""
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    try:
-        return datetime.fromisoformat(cleaned)
-    except ValueError as exc:
-        raise UnparseableTimestamp(f"bad timestamp {text!r}") from exc
-
-
-def _in_utc(ts: datetime, text: str) -> datetime:
-    """``_parse_instant``'s result for ``text`` as an aware UTC datetime."""
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    try:
-        return ts.astimezone(timezone.utc)
-    except OverflowError as exc:
-        raise UnparseableTimestamp(f"timestamp {text!r} falls outside the UTC range") from exc
-
-
-def tag_tweet_stance(
-    tweet: TweetRecord,
-    lexicon: StanceLexicon,
-    *,
-    ambiguous: str = "no-stance",
-) -> str:
-    """Stance id for a tweet, or ``__none__``.
-
-    A stance is assigned only when the tweet's hashtags intersect exactly
-    one stance's list.  Zero matches is no-stance; matches across two or
-    more stances are ambiguous and default to no-stance (``ambiguous=
-    "error"`` raises instead, for pipelines that want to audit them).
-    """
-    if ambiguous not in ("no-stance", "error"):
-        raise ValueError(f"ambiguous must be 'no-stance' or 'error', got {ambiguous!r}")
-    index = lexicon.tag_index()
-    stance = _stance_for(tweet.hashtags, index)
-    if stance is not None:
-        return stance
-    if ambiguous == "error":
-        matched = sorted({index[t] for t in tweet.hashtags if t in index})
-        if len(matched) > 1:
-            raise AmbiguousStance(f"tweet {tweet.id} matches stances {matched}")
-    return NO_STANCE
-
-
 def _stance_for(hashtags: Iterable[object], index: Mapping[str, str]) -> str | None:
     """The tagging rule: the stance id when the hashtags, each normalized,
     match exactly one stance's list; None when they match none, or more than
@@ -277,11 +192,10 @@ def iter_tweet_stream(
     rule normalizes each tag as it reads it.
 
     A good line holds one JSON object and nothing else but JSON whitespace,
-    exactly what ``json.loads`` accepts, with the fields that
-    ``TweetRecord.from_json_obj`` requires.  Blank lines are skipped
-    uncounted.  Bad lines, a line that is not valid UTF-8 among them, are
-    skipped, not fatal; the caller decides whether the accumulated error
-    ratio still fits its budget.
+    exactly what ``json.loads`` accepts, with the fields the module
+    docstring lists.  Blank lines are skipped uncounted.  Bad lines, a line
+    that is not valid UTF-8 among them, are skipped, not fatal; the caller
+    decides whether the accumulated error ratio still fits its budget.
     """
     decode = json.JSONDecoder().raw_decode
     utc = timezone.utc
@@ -300,16 +214,27 @@ def iter_tweet_stream(
                 obj, end = decode(text)
                 if end != len(text):
                     raise MalformedRow("trailing data after the JSON value")
-                hashtags, ts, user = _tweet_fields(obj)
+                hashtags = obj["hashtags"]
+                if not isinstance(hashtags, list):
+                    raise MalformedRow("hashtags must be a JSON array")
+                obj["id"]  # required, though never read
+                user = str(obj["user"])
+                stamp = str(obj["ts"]).strip()
+                if stamp.endswith(("Z", "z")):
+                    stamp = stamp[:-1] + "+00:00"  # Python 3.10's fromisoformat reads no Z
+                ts = datetime.fromisoformat(stamp)
                 # fromisoformat gives a zero offset the one timezone.utc, so
                 # this identity test skips the shift more cheaply than
-                # utcoffset() could; any other zone is shifted, correctly
+                # utcoffset() could; a naive instant is UTC, and any other
+                # zone is shifted, correctly
                 zone = ts.tzinfo
                 day = (ts if zone is None or zone is utc else ts.astimezone(utc)).date()
-            # ValueError covers JSONDecodeError and integers past the
-            # interpreter's digit limit; OverflowError, a shift past the
-            # datetime range; RecursionError, a value nested too deep
-            except (ValueError, OverflowError, RecursionError, MalformedRow, UnparseableTimestamp):
+            # KeyError, a missing field; TypeError, a line that is not a JSON
+            # object; ValueError covers JSONDecodeError, a bad timestamp and
+            # integers past the interpreter's digit limit; OverflowError, a
+            # shift past the datetime range; RecursionError, a value nested
+            # too deep
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError, MalformedRow):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
@@ -360,12 +285,6 @@ class RegionTable:
         ids = [r.region for r in self.rows]
         if len(set(ids)) != len(ids):
             raise ValueError("region ids must be unique")
-
-    def row(self, region: str) -> RegionRow:
-        for r in self.rows:
-            if r.region == region:
-                return r
-        raise KeyError(region)
 
 
 def all_regions_row(rows: Sequence[RegionRow]) -> RegionRow:
@@ -768,25 +687,6 @@ class _DayAccumulator:
             counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
             days.append(DaySlice(day, counts, has_total=total is not None))
         return DailySeries(self.lexicon.topic, tuple(days))
-
-
-def build_daily_counts(
-    records: Iterable[TweetRecord],
-    lexicon: StanceLexicon,
-    totals: Mapping[date, int] | None = None,
-    *,
-    by_user: bool = False,
-) -> DailySeries:
-    """Bucket a tweet stream by UTC date into per-stance daily counts.
-
-    Input order is irrelevant.  With daily totals, each day's no-stance
-    count is total - tagged (the day's whole sample is the population);
-    days carrying tags but no total row keep only the stance-holders
-    variant.  ``by_user=True`` counts distinct user ids instead of tweets.
-    """
-    acc = _DayAccumulator(lexicon, by_user)
-    acc.add_all((record.ts.date(), record.user, record.hashtags) for record in records)
-    return acc.finish(totals)
 
 
 def ingest_tweets(

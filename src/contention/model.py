@@ -204,9 +204,6 @@ class StanceSpace:
         """Sentinel first, then explicit stance ids, in index order."""
         return (NO_STANCE,) + self.ids
 
-    def index_of(self, stance_id: str) -> int:
-        return self._indices()[stance_id]
-
     def _indices(self) -> _StanceIndex:
         """Stance id -> index, with ``__none__`` -> 0.  Built per call and
         not stored: a space holds only its stances and its matrix."""
@@ -297,11 +294,6 @@ class StanceCounts:
 
     def with_no_stance(self, g0: int) -> StanceCounts:
         return StanceCounts(self.space, (g0,) + self.explicit, self.filter)
-
-    def scaled(self, m: int) -> StanceCounts:
-        if m <= 0:
-            raise ValueError("scale factor must be a positive integer")
-        return StanceCounts(self.space, tuple(c * m for c in self.counts), self.filter)
 
     def __add__(self, other: StanceCounts) -> StanceCounts:
         if other.space is not self.space and other.space != self.space:

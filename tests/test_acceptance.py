@@ -175,7 +175,8 @@ def test_criterion_6_maximality_and_properties():
 
             # scale invariance
             for m in (2, 3, 17):
-                scaled = contention_exclusive(counts.scaled(m))
+                times_m = StanceCounts(counts.space, tuple(c * m for c in counts.counts))
+                scaled = contention_exclusive(times_m)
                 assert math.isclose(base.raw, scaled.raw, rel_tol=1e-12, abs_tol=0.0)
 
             # permutation invariance

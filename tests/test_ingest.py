@@ -4,7 +4,7 @@ import csv
 import json
 import random
 import re
-from datetime import date, datetime, timezone
+from datetime import date
 from fractions import Fraction
 
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contention.errors import (
-    AmbiguousStance,
     DuplicateStanceRow,
     EligibleLessThanVotes,
     EmptyInput,
@@ -22,7 +21,6 @@ from contention.errors import (
     MissingTotal,
     NegativeCount,
     TotalLessThanStanceCounts,
-    UnparseableTimestamp,
 )
 from contention.ingest import (
     ALL_REGIONS,
@@ -31,17 +29,12 @@ from contention.ingest import (
     all_regions_row,
     _read_csv_rows,
     StanceLexicon,
-    TweetRecord,
-    build_daily_counts,
     ingest_tweets,
     iter_tweet_stream,
     load_daily_totals,
     load_poll_topline,
     load_quadrant_topics,
     load_vote_records,
-    normalize_hashtag,
-    parse_utc_timestamp,
-    tag_tweet_stance,
     StreamStats,
 )
 from contention.model import NO_STANCE, StanceCounts, StanceSpace, contention_exclusive
@@ -71,8 +64,29 @@ def dress_lexicon(tmp_path):
 
 
 def tweet(id_, ts, user, hashtags):
-    return TweetRecord(id=id_, ts=parse_utc_timestamp(ts), user=user,
-                       hashtags=tuple(normalize_hashtag(t) for t in hashtags))
+    """One tweet as a JSONL line."""
+    return json.dumps({"id": id_, "ts": ts, "user": user, "hashtags": hashtags})
+
+
+def stream_of(tmp_path, tweets, name="stream.jsonl"):
+    return write(tmp_path, name, "".join(line + "\n" for line in tweets))
+
+
+def ingest(tmp_path, tweets, lexicon, totals=None, **options):
+    """``ingest_tweets`` over one shard holding ``tweets``."""
+    return ingest_tweets([stream_of(tmp_path, tweets)], lexicon, totals, **options)
+
+
+def stream(tmp_path, tweets):
+    """What ``iter_tweet_stream`` yields for a shard holding ``tweets``, and
+    its stats."""
+    stats = StreamStats()
+    return list(iter_tweet_stream(stream_of(tmp_path, tweets), stats)), stats
+
+
+def region(table, name):
+    [row] = [r for r in table.rows if r.region == name]
+    return row
 
 
 class TestPollTopline:
@@ -182,28 +196,28 @@ class TestVoteRecords:
         path = write(tmp_path, "votes.csv",
                      "region,option,count\nuk,leave,519\nuk,remain,481\n")
         table = load_vote_records(path)
-        result = contention_exclusive(table.row("uk").counts)
+        result = contention_exclusive(region(table, "uk").counts)
         assert round(result.normalized, 2) == 1.00
 
     def test_rejected_ballots_become_no_stance(self, tmp_path):
         path = write(tmp_path, "votes.csv",
                      "region,option,count\nr,a,10\nr,b,10\nr,__rejected__,5\n")
         table = load_vote_records(path)
-        assert table.row("r").counts.counts == (5, 10, 10)
+        assert region(table, "r").counts.counts == (5, 10, 10)
 
     def test_none_ballots_become_no_stance(self, tmp_path):
         path = write(tmp_path, "votes.csv",
                      "region,option,count\nr,a,10\nr,b,10\nr,__none__,7\n")
         table = load_vote_records(path)
-        assert table.row("r").counts.no_stance == 7
+        assert region(table, "r").counts.no_stance == 7
 
     def test_eligible_population_mode(self, tmp_path):
         path = write(tmp_path, "votes.csv",
                      "region,option,count\n"
                      "r,a,30\nr,b,20\nr,__eligible__,100\n")
         table = load_vote_records(path, "eligible")
-        assert table.row("r").counts.counts == (50, 30, 20)
-        assert table.row("r").eligible == 100
+        assert region(table, "r").counts.counts == (50, 30, 20)
+        assert region(table, "r").eligible == 100
 
     def test_missing_eligible(self, tmp_path):
         path = write(tmp_path, "votes.csv", "region,option,count\nr,a,30\n")
@@ -221,7 +235,7 @@ class TestVoteRecords:
                      "region,option,count\n"
                      "r1,a,10\nr1,b,20\nr2,a,5\nr2,b,1\n")
         table = load_vote_records(path)
-        assert table.row(ALL_REGIONS).counts.counts == (0, 15, 21)
+        assert region(table, ALL_REGIONS).counts.counts == (0, 15, 21)
 
     def test_reserved_region_id_rejected(self, tmp_path):
         path = write(tmp_path, "votes.csv", "region,option,count\n__all__,a,1\n")
@@ -238,7 +252,7 @@ class TestVoteRecords:
         path = write(tmp_path, "votes.csv",
                      "region,option,count\nr1,a,5\nr1,b,5\nr2,a,9\n")
         table = load_vote_records(path)
-        assert table.row("r2").counts.counts == (0, 9, 0)
+        assert region(table, "r2").counts.counts == (0, 9, 0)
 
 
 class TestLexiconAndTagging:
@@ -272,35 +286,33 @@ class TestLexiconAndTagging:
         with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: "):
             StanceLexicon.from_json(path)
 
-    def test_unique_stance_match(self, dress_lexicon):
-        record = tweet("1", "2015-02-26T12:00:00Z", "u1", ["WhiteAndGold", "ootd"])
-        assert tag_tweet_stance(record, dress_lexicon) == "white-and-gold"
+    def test_unique_stance_match(self, tmp_path, dress_lexicon):
+        line = tweet("1", "2015-02-26T12:00:00Z", "u1", ["WhiteAndGold", "ootd"])
+        series, stats = ingest(tmp_path, [line], dress_lexicon)
+        assert stats.tagged == {"white-and-gold": 1}
+        assert series.days[0].counts.explicit == (1, 0)
 
-    def test_no_match_is_no_stance(self, dress_lexicon):
-        record = tweet("2", "2015-02-26T12:00:00Z", "u1", ["nofilter"])
-        assert tag_tweet_stance(record, dress_lexicon) == NO_STANCE
+    def test_no_match_is_no_stance(self, tmp_path, dress_lexicon):
+        line = tweet("2", "2015-02-26T12:00:00Z", "u1", ["nofilter"])
+        series, stats = ingest(tmp_path, [line], dress_lexicon)
+        assert stats.parsed == 1 and stats.tagged == {}
+        assert series.days[0].counts.explicit == (0, 0)
 
-    def test_cross_stance_match_is_no_stance(self, dress_lexicon):
-        record = tweet("3", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
-        assert tag_tweet_stance(record, dress_lexicon) == NO_STANCE
+    def test_cross_stance_match_is_no_stance(self, tmp_path, dress_lexicon):
+        line = tweet("3", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
+        series, stats = ingest(tmp_path, [line], dress_lexicon)
+        assert stats.parsed == 1 and stats.tagged == {}
+        assert series.days[0].counts.explicit == (0, 0)
 
-    def test_cross_stance_match_error_mode(self, dress_lexicon):
-        record = tweet("4", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
-        with pytest.raises(AmbiguousStance):
-            tag_tweet_stance(record, dress_lexicon, ambiguous="error")
+    def test_multilingual_and_unicode_folding(self, tmp_path, dress_lexicon):
+        line = tweet("5", "2015-02-26T12:00:00Z", "u1", ["NegroYAzul"])
+        _, stats = ingest(tmp_path, [line], dress_lexicon)
+        assert stats.tagged == {"black-and-blue": 1}
 
-    def test_unknown_ambiguous_mode_rejected(self, dress_lexicon):
-        record = tweet("4", "2015-02-26T12:00:00Z", "u1", ["blackandblue", "whiteandgold"])
-        with pytest.raises(ValueError, match="^ambiguous must be 'no-stance' or 'error', got 'eror'$"):
-            tag_tweet_stance(record, dress_lexicon, ambiguous="eror")
-
-    def test_multilingual_and_unicode_folding(self, dress_lexicon):
-        record = tweet("5", "2015-02-26T12:00:00Z", "u1", ["NegroYAzul"])
-        assert tag_tweet_stance(record, dress_lexicon) == "black-and-blue"
-
-    def test_determinism(self, dress_lexicon):
-        record = tweet("6", "2015-02-26T12:00:00Z", "u1", ["whiteandgold"])
-        assert len({tag_tweet_stance(record, dress_lexicon) for _ in range(20)}) == 1
+    def test_determinism(self, tmp_path, dress_lexicon):
+        line = tweet("6", "2015-02-26T12:00:00Z", "u1", ["whiteandgold"])
+        runs = {repr(ingest(tmp_path, [line], dress_lexicon)) for _ in range(20)}
+        assert len(runs) == 1
 
     def test_lexicon_nested_past_the_recursion_limit_is_malformed(self, tmp_path):
         path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
@@ -335,93 +347,99 @@ class TestLexiconAndTagging:
 
 
 class TestTimestamps:
-    def test_z_suffix(self):
-        ts = parse_utc_timestamp("2016-06-23T10:00:00Z")
-        assert ts == datetime(2016, 6, 23, 10, tzinfo=timezone.utc)
+    def day_of(self, tmp_path, ts):
+        [(day, _, _)], _ = stream(tmp_path, [tweet("1", ts, "u1", [])])
+        return day
 
-    def test_offset_normalized_to_utc(self):
-        ts = parse_utc_timestamp("2016-06-23T23:30:00-05:00")
-        assert ts.date() == date(2016, 6, 24)  # crosses the UTC day boundary
+    def test_z_suffix(self, tmp_path):
+        assert self.day_of(tmp_path, "2016-06-23T10:00:00Z") == date(2016, 6, 23)
 
-    def test_naive_treated_as_utc(self):
-        ts = parse_utc_timestamp("2016-06-23T10:00:00")
-        assert ts.tzinfo == timezone.utc
+    def test_offset_normalized_to_utc(self, tmp_path):
+        # crosses the UTC day boundary
+        assert self.day_of(tmp_path, "2016-06-23T23:30:00-05:00") == date(2016, 6, 24)
 
-    def test_garbage_rejected(self):
-        with pytest.raises(UnparseableTimestamp):
-            parse_utc_timestamp("yesterday-ish")
+    def test_naive_treated_as_utc(self, tmp_path):
+        # an hour before UTC midnight: a zone west of UTC would move it on
+        assert self.day_of(tmp_path, "2016-06-23T23:00:00") == date(2016, 6, 23)
+
+    def test_garbage_rejected(self, tmp_path):
+        yielded, stats = stream(tmp_path, [tweet("1", "yesterday-ish", "u1", [])])
+        assert yielded == [] and (stats.lines, stats.parse_errors) == (1, 1)
 
     @pytest.mark.parametrize("text", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
-    def test_shift_out_of_range_rejected(self, text):
-        with pytest.raises(UnparseableTimestamp):
-            parse_utc_timestamp(text)
+    def test_shift_out_of_range_rejected(self, tmp_path, text):
+        yielded, stats = stream(tmp_path, [tweet("1", text, "u1", [])])
+        assert yielded == [] and (stats.lines, stats.parse_errors) == (1, 1)
 
-    def test_missing_field_is_malformed(self):
-        with pytest.raises(MalformedRow):
-            TweetRecord.from_json_obj({"id": "1", "ts": "2016-01-01T00:00:00Z"})
+    def test_missing_field_is_malformed(self, tmp_path):
+        fields = {"id": "1", "ts": "2016-01-01T00:00:00Z", "user": "u1", "hashtags": []}
+        lines = [json.dumps({k: v for k, v in fields.items() if k != missing})
+                 for missing in fields]
+        yielded, stats = stream(tmp_path, lines)
+        assert yielded == [] and (stats.lines, stats.parse_errors) == (4, 4)
 
 
 class TestBuildDailyCounts:
-    def test_worked_example(self, dress_lexicon):
-        records = (
+    def test_worked_example(self, tmp_path, dress_lexicon):
+        tweets = (
             [tweet(str(i), "2015-02-26T10:00:00Z", f"u{i}", ["whiteandgold"]) for i in range(30)]
             + [tweet(str(100 + i), "2015-02-26T11:00:00Z", f"v{i}", ["blackandblue"]) for i in range(20)]
         )
         totals = {date(2015, 2, 26): 1000}
-        series = build_daily_counts(records, dress_lexicon, totals)
+        series, _ = ingest(tmp_path, tweets, dress_lexicon, totals)
         [day] = series.days
         assert day.counts.counts == (950, 30, 20)
         assert day.has_total
         assert sum(day.counts.counts) == 1000  # partition invariant
 
-    def test_zero_tagged_day(self, dress_lexicon):
+    def test_zero_tagged_day(self, tmp_path, dress_lexicon):
         totals = {date(2015, 2, 26): 500}
-        series = build_daily_counts([], dress_lexicon, totals)
+        series, _ = ingest(tmp_path, [], dress_lexicon, totals)
         [day] = series.days
         assert day.counts.counts == (500, 0, 0)
         assert contention_exclusive(day.counts).raw == 0.0
 
-    def test_total_less_than_tagged(self, dress_lexicon):
-        records = [tweet(str(i), "2015-02-26T10:00:00Z", f"u{i}", ["whiteandgold"])
-                   for i in range(30)]
+    def test_total_less_than_tagged(self, tmp_path, dress_lexicon):
+        tweets = [tweet(str(i), "2015-02-26T10:00:00Z", f"u{i}", ["whiteandgold"])
+                  for i in range(30)]
         with pytest.raises(TotalLessThanStanceCounts):
-            build_daily_counts(records, dress_lexicon, {date(2015, 2, 26): 10})
+            ingest(tmp_path, tweets, dress_lexicon, {date(2015, 2, 26): 10})
 
-    def test_day_without_total_keeps_stanced_variant(self, dress_lexicon):
-        records = [tweet("1", "2015-02-26T10:00:00Z", "u1", ["whiteandgold"])]
-        series = build_daily_counts(records, dress_lexicon, totals=None)
+    def test_day_without_total_keeps_stanced_variant(self, tmp_path, dress_lexicon):
+        tweets = [tweet("1", "2015-02-26T10:00:00Z", "u1", ["whiteandgold"])]
+        series, _ = ingest(tmp_path, tweets, dress_lexicon, totals=None)
         [day] = series.days
         assert not day.has_total
         assert day.counts.counts == (0, 1, 0)
 
-    def test_order_independence(self, dress_lexicon):
-        records = [
+    def test_order_independence(self, tmp_path, dress_lexicon):
+        tweets = [
             tweet(str(i), f"2015-02-{26 + (i % 2):02d}T10:00:00Z", f"u{i}",
                   ["whiteandgold"] if i % 3 else ["blackandblue"])
             for i in range(60)
         ]
-        shuffled = records[:]
+        shuffled = tweets[:]
         random.Random(5).shuffle(shuffled)
-        a = build_daily_counts(records, dress_lexicon)
-        b = build_daily_counts(shuffled, dress_lexicon)
+        a = ingest_tweets([stream_of(tmp_path, tweets, "a.jsonl")], dress_lexicon)
+        b = ingest_tweets([stream_of(tmp_path, shuffled, "b.jsonl")], dress_lexicon)
         assert a == b
 
-    def test_by_user_counts_distinct_users(self, dress_lexicon):
-        records = [
+    def test_by_user_counts_distinct_users(self, tmp_path, dress_lexicon):
+        tweets = [
             tweet("1", "2015-02-26T10:00:00Z", "alice", ["whiteandgold"]),
             tweet("2", "2015-02-26T11:00:00Z", "alice", ["whiteandgold"]),
             tweet("3", "2015-02-26T12:00:00Z", "bob", ["blackandblue"]),
         ]
-        series = build_daily_counts(records, dress_lexicon, by_user=True)
+        series, _ = ingest(tmp_path, tweets, dress_lexicon, by_user=True)
         assert series.days[0].counts.explicit == (1, 1)
 
-    def test_by_user_conflicting_user_excluded(self, dress_lexicon):
-        records = [
+    def test_by_user_conflicting_user_excluded(self, tmp_path, dress_lexicon):
+        tweets = [
             tweet("1", "2015-02-26T10:00:00Z", "alice", ["whiteandgold"]),
             tweet("2", "2015-02-27T10:00:00Z", "alice", ["blackandblue"]),
             tweet("3", "2015-02-26T12:00:00Z", "bob", ["blackandblue"]),
         ]
-        series = build_daily_counts(records, dress_lexicon, by_user=True)
+        series, _ = ingest(tmp_path, tweets, dress_lexicon, by_user=True)
         by_date = {d.date: d.counts.explicit for d in series.days}
         # alice posted both stances across the window: dropped from both days
         assert by_date[date(2015, 2, 26)] == (0, 1)
@@ -476,8 +494,8 @@ class TestTweetStream:
                {"id": "o", "ts": "2015-02-26T10:00:00Z", "user": "o",
                 "hashtags": {"blackandblue": 1}}]
         for obj in odd:
-            with pytest.raises(MalformedRow):
-                TweetRecord.from_json_obj(obj)
+            yielded, stats = stream(tmp_path, [json.dumps(obj)])
+            assert yielded == [] and (stats.lines, stats.parse_errors) == (1, 1)
         lines = [self.good_line(i) for i in range(8)] + [json.dumps(obj) for obj in odd]
         path = self.make_stream(tmp_path, lines)
         series, stats = ingest_tweets([path], dress_lexicon, error_budget=0.5)

@@ -309,7 +309,6 @@ class TestValidation:
     def test_counts_addition_and_scaling(self):
         total = counts(1, 2, 3) + counts(4, 5, 6)
         assert total.counts == (5, 7, 9)
-        assert counts(1, 2, 3).scaled(10).counts == (10, 20, 30)
 
     def test_joint_no_stance_rejected(self):
         with pytest.raises(ValueError):
@@ -321,14 +320,12 @@ class TestValidation:
 
     def test_stance_ids_index_in_order_after_the_sentinel(self):
         space = StanceSpace.exclusive(["x", "y", "z"])
-        assert [space.index_of(sid) for sid in (NO_STANCE, "x", "y", "z")] == [0, 1, 2, 3]
         by_id = StanceCounts.from_mapping(space, {"z": 5, "x": 2, NO_STANCE: 7})
         assert by_id.counts == (7, 2, 0, 5)
         people = AssignmentSet.from_stance_ids(space, [{"z", "y"}, {NO_STANCE}])
         assert people.assignments == (frozenset({2, 3}), frozenset({0}))
 
     @pytest.mark.parametrize("build", [
-        lambda: TWO.index_of("c"),
         lambda: StanceCounts.from_mapping(TWO, {"a": 1, "c": 2}),
         lambda: AssignmentSet.from_stance_ids(TWO, [{"a"}, {"b", "c"}]),
     ])

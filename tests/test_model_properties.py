@@ -64,7 +64,7 @@ def test_label_permutation_invariance(counts, rng):
 @given(exclusive_counts(), st.integers(min_value=1, max_value=1000))
 def test_scale_invariance(counts, m):
     base = contention_exclusive(counts)
-    scaled = contention_exclusive(counts.scaled(m))
+    scaled = contention_exclusive(StanceCounts(counts.space, tuple(c * m for c in counts.counts)))
     assert math.isclose(base.raw, scaled.raw, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(base.normalized, scaled.normalized, rel_tol=1e-12, abs_tol=0.0)
 
