@@ -326,6 +326,9 @@ class TestValidation:
         assert people.assignments == (frozenset({2, 3}), frozenset({0}))
 
     @pytest.mark.parametrize("build", [
+        lambda: AssignmentSet.from_stance_ids(
+            StanceSpace.from_conflict_pairs(["a", "b"], [("a", "b")]), [{"c"}]
+        ),
         lambda: StanceCounts.from_mapping(TWO, {"a": 1, "c": 2}),
         lambda: AssignmentSet.from_stance_ids(TWO, [{"a"}, {"b", "c"}]),
     ])
