@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Iterable, Sequence
 
-from .errors import ContentionError, ImportanceOutOfDeclaredRange, MissingImportance
+from .errors import ContentionError, EmptyInput, ImportanceOutOfDeclaredRange, MissingImportance
 from .ingest import ALL_REGIONS, DailySeries, RegionTable, all_regions_row
 from .model import ContentionResult, KMode, StanceCounts, _norm_k, contention_exclusive
 
@@ -65,11 +65,14 @@ def region_contention(
     """Contention per region plus the ``__all__`` aggregate, sorted by id.
 
     ``score`` replaces the closed form at the declared k, e.g. with a
-    sampled estimate or an observed-k score.
+    sampled estimate or an observed-k score.  A table with no rows raises
+    EmptyInput.
     """
     if score is None:
         score = contention_exclusive
     rows = list(table.rows)
+    if not rows:
+        raise EmptyInput(f"region table {table.topic!r} has no rows")
     if all(r.region != ALL_REGIONS for r in rows):
         rows.append(all_regions_row(rows))
     return [(r.region, score(r.counts)) for r in sorted(rows, key=lambda r: r.region)]

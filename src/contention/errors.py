@@ -58,7 +58,8 @@ class ErrorBudgetExceeded(ContentionError):
 
 
 class EmptyInput(ContentionError):
-    """An input file with a header but no data rows."""
+    """An input with no data rows: a file with only a header, or a region
+    table with no regions."""
 
 
 # -- analytics ----------------------------------------------------------------

@@ -45,6 +45,7 @@ import math
 import re
 import sys
 import unicodedata
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from fractions import Fraction
@@ -187,9 +188,9 @@ def iter_tweet_stream(
     path: str | Path, stats: StreamStats
 ) -> Iterator[tuple[date, str, list]]:
     """Yield ``(utc_day, user, raw_hashtags)`` for each good line of a JSONL
-    shard, counting lines and bad lines in ``stats``.  ``raw_hashtags`` is
-    the line's ``hashtags`` array as decoded, not normalized: the tagging
-    rule normalizes each tag as it reads it.
+    shard, and add its counts of lines and bad lines to ``stats`` when the
+    stream ends or is closed.  ``raw_hashtags`` is the line's ``hashtags``
+    array as decoded, not normalized: the tagging rule normalizes each tag.
 
     A good line holds one JSON object and nothing else but JSON whitespace,
     exactly what ``json.loads`` accepts, with the fields the module
@@ -197,48 +198,55 @@ def iter_tweet_stream(
     that is not valid UTF-8 among them, are skipped, not fatal; the caller
     decides whether the accumulated error ratio still fits its budget.
     """
-    decode = json.JSONDecoder().raw_decode
+    # raw_decode calls this scanner only to turn its StopIteration into JSONDecodeError
+    scan = json.JSONDecoder().scan_once
     utc = timezone.utc
-    # surrogateescape turns each byte that is not valid UTF-8 into a lone
-    # surrogate U+DC80..U+DCFF, which strict UTF-8 never decodes to, so
-    # only the line holding the byte is lost
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line in handle:
-            text = line.strip(" \t\n\r")
-            if not text or text.isspace():
-                continue
-            stats.lines += 1
-            try:
-                if not text.isascii() and _ESCAPED_BYTE.search(text):
-                    raise MalformedRow("line is not valid UTF-8")
-                obj, end = decode(text)
-                if end != len(text):
-                    raise MalformedRow("trailing data after the JSON value")
-                hashtags = obj["hashtags"]
-                if not isinstance(hashtags, list):
-                    raise MalformedRow("hashtags must be a JSON array")
-                obj["id"]  # required, though never read
-                user = str(obj["user"])
-                stamp = str(obj["ts"]).strip()
-                if stamp.endswith(("Z", "z")):
-                    stamp = stamp[:-1] + "+00:00"  # Python 3.10's fromisoformat reads no Z
-                ts = datetime.fromisoformat(stamp)
-                # fromisoformat gives a zero offset the one timezone.utc, so
-                # this identity test skips the shift more cheaply than
-                # utcoffset() could; a naive instant is UTC, and any other
-                # zone is shifted, correctly
-                zone = ts.tzinfo
-                day = (ts if zone is None or zone is utc else ts.astimezone(utc)).date()
-            # KeyError, a missing field; TypeError, a line that is not a JSON
-            # object; ValueError covers JSONDecodeError, a bad timestamp and
-            # integers past the interpreter's digit limit; OverflowError, a
-            # shift past the datetime range; RecursionError, a value nested
-            # too deep
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError, MalformedRow):
-                stats.parse_errors += 1
-                continue
-            stats.parsed += 1
-            yield day, user, hashtags
+    lines = parsed = errors = 0
+    try:
+        # surrogateescape turns each byte that is not valid UTF-8 into a lone
+        # surrogate U+DC80..U+DCFF, which strict UTF-8 never decodes to, so
+        # only the line holding the byte is lost
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line in handle:
+                text = line.strip(" \t\n\r")
+                if not text or text.isspace():
+                    continue
+                lines += 1
+                try:
+                    if not text.isascii() and _ESCAPED_BYTE.search(text):
+                        raise MalformedRow("line is not valid UTF-8")
+                    obj, end = scan(text, 0)
+                    if end != len(text):
+                        raise MalformedRow("trailing data after the JSON value")
+                    hashtags = obj["hashtags"]
+                    if not isinstance(hashtags, list):
+                        raise MalformedRow("hashtags must be a JSON array")
+                    obj["id"]  # required, though never read
+                    user = str(obj["user"])
+                    stamp = str(obj["ts"]).strip()
+                    if stamp.endswith(("Z", "z")):
+                        stamp = stamp[:-1] + "+00:00"  # Python 3.10's fromisoformat reads no Z
+                    ts = datetime.fromisoformat(stamp)
+                    # fromisoformat gives a zero offset the one timezone.utc, so
+                    # this identity test skips the shift more cheaply than
+                    # utcoffset() could; a naive instant is UTC, and any other
+                    # zone is shifted, correctly
+                    zone = ts.tzinfo
+                    day = (ts if zone is None or zone is utc else ts.astimezone(utc)).date()
+                # StopIteration: no JSON value; KeyError: a missing field;
+                # TypeError: not a JSON object; ValueError: JSONDecodeError, a
+                # bad timestamp, an integer past the digit limit; OverflowError:
+                # a shift past the datetime range; RecursionError: nested too deep
+                except (StopIteration, KeyError, TypeError, ValueError, OverflowError,
+                        RecursionError, MalformedRow):
+                    errors += 1
+                    continue
+                parsed += 1
+                yield day, user, hashtags
+    finally:
+        stats.lines += lines
+        stats.parsed += parsed
+        stats.parse_errors += errors
 
 
 # -- daily series ---------------------------------------------------------------
@@ -424,8 +432,14 @@ def _parse_count(text: str, header: Sequence[str], fields: Sequence[str]) -> int
     return value
 
 
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_date(text: str) -> date:
+    # only YYYY-MM-DD: Python 3.11+'s fromisoformat also reads 20160501 and 2016-W18-7
     try:
+        if not _ISO_DATE.fullmatch(text):
+            raise ValueError("not YYYY-MM-DD")
         return date.fromisoformat(text)
     except ValueError as exc:
         raise MalformedRow(f"bad date {text!r} (want YYYY-MM-DD)") from exc
@@ -625,64 +639,49 @@ class _DayAccumulator:
     def __init__(self, lexicon: StanceLexicon, by_user: bool) -> None:
         self.lexicon = lexicon
         self.by_user = by_user
-        self.index = lexicon.tag_index()
-        self.stance_ids = lexicon.space().ids
         # tweets per day and stance id, None counting the untagged; every
         # day seen is a key, in both modes
-        self.day_counts: dict[date, dict[str | None, int]] = {}
-        self.day_users: dict[date, dict[str, set[str]]] = {}
-        self.user_stances: dict[str, set[str]] = {}
+        self.day_counts: dict[date, dict[str | None, int]] = defaultdict(lambda: defaultdict(int))
+        # by user: each tagged user's one stance id, None once they tag a
+        # second stance, and the users tagged on each day
+        self.user_stance: dict[str, str | None] = {}
+        self.day_users: dict[date, set[str]] = defaultdict(set)
 
     def add_all(self, tweets: Iterable[tuple[date, str, Iterable[object]]]) -> None:
         """Tally ``(utc_day, user, hashtags)`` tweets."""
-        index, by_user, day_counts = self.index, self.by_user, self.day_counts
+        index, by_user, day_counts = self.lexicon.tag_index(), self.by_user, self.day_counts
+        user_stance, day_users = self.user_stance, self.day_users
         for day, user, hashtags in tweets:
             stance = _stance_for(hashtags, index)
-            bucket = day_counts.get(day)
-            if bucket is None:
-                bucket = day_counts[day] = {}
-            bucket[stance] = bucket.get(stance, 0) + 1
+            day_counts[day][stance] += 1
             if stance is not None and by_user:
-                self.day_users.setdefault(day, {}).setdefault(stance, set()).add(user)
-                self.user_stances.setdefault(user, set()).add(stance)
+                if user_stance.setdefault(user, stance) != stance:
+                    user_stance[user] = None
+                day_users[day].add(user)
 
     def tagged(self) -> dict[str, int]:
         """Tagged tweets per stance id over every day; stances never tagged
         are absent."""
-        out: dict[str, int] = {}
-        for bucket in self.day_counts.values():
-            for sid, n in bucket.items():
-                if sid is not None:
-                    out[sid] = out.get(sid, 0) + n
-        return out
-
-    def _explicit_counts(self, day: date) -> dict[str, int]:
-        if not self.by_user:
-            bucket = self.day_counts.get(day, {})
-            return {sid: bucket.get(sid, 0) for sid in self.stance_ids}
-        bucket_users = self.day_users.get(day, {})
-        out = {}
-        for sid in self.stance_ids:
-            users = bucket_users.get(sid, set())
-            # a user who ever tweets conflicting stances in the window is
-            # excluded from every group
-            out[sid] = sum(1 for u in users if len(self.user_stances[u]) == 1)
-        return out
+        out = sum(map(Counter, self.day_counts.values()), Counter())
+        out.pop(None, None)
+        return dict(out)
 
     def finish(self, totals: Mapping[date, int] | None) -> DailySeries:
         space = self.lexicon.space()
-        seen_days = set(self.day_counts)
-        if totals:
-            seen_days |= set(totals)
         days = []
-        for day in sorted(seen_days):
-            explicit = self._explicit_counts(day)
+        for day in sorted(set(self.day_counts).union(totals or ())):
+            if self.by_user:
+                # a user who ever tweets conflicting stances in the window
+                # is excluded from every group
+                bucket = Counter(map(self.user_stance.__getitem__, self.day_users.get(day, ())))
+            else:
+                bucket = self.day_counts.get(day, {})
+            explicit = {sid: bucket.get(sid, 0) for sid in space.ids}
             tagged_sum = sum(explicit.values())
             total = totals.get(day) if totals else None
             if total is not None and total < tagged_sum:
                 raise TotalLessThanStanceCounts(
-                    f"{day}: day total {total} < {tagged_sum} stance-tagged"
-                )
+                    f"{day}: day total {total} < {tagged_sum} stance-tagged")
             g0 = 0 if total is None else total - tagged_sum
             counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
             days.append(DaySlice(day, counts, has_total=total is not None))
@@ -702,16 +701,17 @@ def ingest_tweets(
     The shards are read in the given order, in one pass, into one tally;
     the result does not depend on that order.  Lines that fail to parse
     are skipped and counted; when they exceed ``error_budget`` as a
-    fraction of all lines, the whole run fails.
+    fraction of all lines, the whole run fails.  ``by_user`` counts each
+    day's distinct tagged users instead of tweets, keeping one stance id
+    per user (cleared once they tag a second stance, which drops them from
+    every day) and one set of users per day.
     """
     acc = _DayAccumulator(lexicon, by_user)
     stats = StreamStats()
     for path in paths:
         acc.add_all(iter_tweet_stream(path, stats))
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
-        raise ErrorBudgetExceeded(
-            f"{stats.parse_errors}/{stats.lines} lines unparseable "
-            f"(budget {error_budget:.4%})"
-        )
+        raise ErrorBudgetExceeded(f"{stats.parse_errors}/{stats.lines} lines unparseable "
+                                  f"(budget {error_budget:.4%})")
     stats.tagged = acc.tagged()
     return acc.finish(totals), stats

@@ -37,11 +37,15 @@ built, and checks each distinct set once; the scorers, ``observed_k``,
 numpy is imported by the two samplers when they are first called, so
 loading the package and the closed-form paths never pay for it.  For a
 given seed they make exactly the draws of ``Generator.integers`` (people)
-and ``Generator.choice`` (stance counts).  Drawn indices are kept in the
-narrowest unsigned dtype and hits are counted in blocks of 2**16 draws, so
-at its peak ``contention_sampled`` holds about 10 bytes per draw (an int64
-array of drawn people, then a byte per side up to 256 distinct held sets)
-and ``sampled_from_counts`` about 2 (a byte per side up to 254 stances).
+and ``Generator.choice`` (stance counts).  ``contention_sampled`` keeps two
+bitmasks per distinct held set, its stances and the stances they conflict
+with, as uint64 words (one narrower word when k < 64), so its cost grows
+with the distinct sets, not with their square.  Drawn indices are kept in
+the narrowest unsigned dtype and hits are counted in blocks of 2**16 draws,
+so at its peak ``contention_sampled`` holds about 10 bytes per draw (an
+int64 array of drawn people, then a byte per side up to 256 distinct held
+sets) and ``sampled_from_counts`` about 2 (a byte per side up to 254
+stances).
 
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
@@ -542,6 +546,39 @@ def contention_general(assignments: AssignmentSet, *, k_mode: KMode = "declared"
 _BLOCK = 1 << 16
 
 
+def _words(masks: Sequence[int], k: int):
+    """Bitmasks over stance indices 0..k as a ``(words, len(masks))`` array:
+    row w holds bits 64w..64w+63 of every mask, in uint64 words, or all of
+    them in one word of the narrowest unsigned dtype when k < 64."""
+    import numpy as np
+
+    dtype = np.dtype(np.uint64) if k >= 64 else np.min_scalar_type((1 << (k + 1)) - 1)
+    bits = 8 * dtype.itemsize
+    width = (k + bits) // bits
+    joined = b"".join(mask.to_bytes(width * dtype.itemsize, "little") for mask in masks)
+    words = np.frombuffer(joined, dtype=dtype.newbyteorder("<")).reshape(len(masks), width)
+    return np.ascontiguousarray(words.T, dtype=dtype)
+
+
+def _count_word_hits(opposing, held, first, second) -> int:
+    """Number of draws i for which ``opposing[:, first[i]] & held[:, second[i]]``
+    is nonzero in some word (see ``_words``), counted one block of draws at
+    a time, so no temporary grows past ``_BLOCK`` words."""
+    import numpy as np
+
+    hits = 0
+    for start in range(0, len(first), _BLOCK):
+        a, b = first[start:start + _BLOCK], second[start:start + _BLOCK]
+        found = opposing[0].take(a)
+        found &= held[0].take(b)
+        for opp, mask in zip(opposing[1:], held[1:]):
+            word = opp.take(a)
+            word &= mask.take(b)
+            found |= word
+        hits += int(np.count_nonzero(found))
+    return hits
+
+
 def _count_hits(conflicts: Sequence[Sequence[bool]], first, second) -> int:
     """Number of draws i with ``conflicts[first[i]][second[i]]``, read from
     the flattened square matrix one block of draws at a time, so no
@@ -588,12 +625,11 @@ def contention_sampled(
     dtype = np.min_scalar_type(len(sig_index) - 1)
     person_sig = np.fromiter(map(sig_index.__getitem__, people), dtype=dtype, count=n)
     masks, opposing = _group_masks(assignments)
-    conflicts = [[bool(b & opp) for b in masks] for opp in opposing]
 
     rng = np.random.default_rng(seed)
     first = person_sig[rng.integers(0, n, size=samples)]
     second = person_sig[rng.integers(0, n, size=samples)]
-    hits = _count_hits(conflicts, first, second)
+    hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), first, second)
     k = _norm_k(space.k, assignments.observed_k, k_mode)
     return _result_from_ratio(
         hits, samples, k=k, population=n, method="general-sampled",

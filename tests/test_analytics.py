@@ -15,6 +15,7 @@ from contention.analytics import (
 )
 from contention.errors import (
     EligibleLessThanVotes,
+    EmptyInput,
     ImportanceOutOfDeclaredRange,
     MissingImportance,
 )
@@ -161,6 +162,10 @@ class TestRegionContention:
         )
         names = [region for region, _ in region_contention(table)]
         assert names == sorted(names)
+
+    def test_table_without_rows_is_empty_input(self):
+        with pytest.raises(EmptyInput, match="region table 't' has no rows"):
+            region_contention(RegionTable("t", ()))
 
     def test_six_way_rank_reversal(self):
         """Two-way contention puts the third-party-heavy state near the

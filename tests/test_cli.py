@@ -306,6 +306,17 @@ class TestTweetsCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "2016-06-21,1,0,2,0.000000,0.000000,,"
 
+    def test_totals_date_in_basic_iso_form_is_data_error(self, tmp_path, capsys):
+        stream = write(tmp_path, "s.jsonl",
+                       tweet_line(1, "2016-05-01T08:00:00Z", "u1", ["voteleave"]) + "\n")
+        lexicon = write(tmp_path, "lex.json", json.dumps(BREXIT_LEXICON))
+        totals = write(tmp_path, "t.csv", "date,total\n20160501,1\n")
+        code, out, err = run_cli(
+            ["tweets", stream, "--lexicon", lexicon, "--totals", totals], capsys
+        )
+        assert code == EX_DATA and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedRow"
+
     def test_by_user_excludes_conflicted_user(self, tmp_path, capsys):
         lines = [
             tweet_line(1, "2016-06-21T08:00:00Z", "fence-sitter", ["voteleave"]),

@@ -566,6 +566,14 @@ class TestSmallLoaders:
         with pytest.raises(MalformedRow):
             load_daily_totals(path)
 
+    @pytest.mark.parametrize("text", ["20160501", "2016-W18-7"])
+    def test_daily_totals_read_no_other_iso_date_form(self, tmp_path, text):
+        """Python 3.11+'s date.fromisoformat reads these basic and week
+        forms too; a totals date is YYYY-MM-DD on every Python."""
+        path = write(tmp_path, "totals.csv", f"date,total\n{text},1\n")
+        with pytest.raises(MalformedRow, match=r"bad date .* \(want YYYY-MM-DD\)"):
+            load_daily_totals(path)
+
     def test_quadrant_topics(self, tmp_path):
         path = write(tmp_path, "quad.csv",
                      "topic,stance,count,importance\n"

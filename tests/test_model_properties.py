@@ -409,3 +409,20 @@ def test_people_sampler_matches_reference_past_one_block():
     for seed in (0, 41):
         assert repr(contention_sampled(people, samples, seed)) == \
             repr(_reference_sampled(people, samples, seed, "declared"))
+
+
+def test_people_sampler_matches_reference_past_one_word():
+    # 70 stances take two uint64 words per held set, and one or two held
+    # stances out of 70 give more than 256 distinct sets, many of them
+    # holding or opposing stances past index 63
+    rng = random.Random(70)
+    ids = [f"s{i}" for i in range(1, 71)]
+    space = StanceSpace.from_conflict_pairs(
+        ids, [(a, b) for a in ids for b in ids if a < b and rng.random() < 0.05])
+    held = tuple(frozenset(rng.sample(range(1, 71), rng.randint(1, 2))) for _ in range(2000))
+    people = AssignmentSet(space, held)
+    assert space.k >= 64 and len(people._groups) > 256
+    samples = 2 * model._BLOCK + 5
+    for seed in (0, 41):
+        assert repr(contention_sampled(people, samples, seed)) == \
+            repr(_reference_sampled(people, samples, seed, "declared"))

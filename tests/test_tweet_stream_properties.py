@@ -158,9 +158,28 @@ AMBIGUOUS = json.dumps({"id": "1", "ts": "2016-06-21T10:00:00Z", "user": "ann",
 NO_ID = json.dumps({"ts": "2016-06-21T11:00:00Z", "user": "bob", "hashtags": ["voteleave"]}).encode()
 
 
+def tweet(user, ts, *tags):
+    return json.dumps({"id": "1", "ts": ts, "user": user, "hashtags": list(tags)}).encode()
+
+
+# --by-user across shards: ann holds one stance on two days, bob's two
+# stances sit in different shards, and cy's second tweet is ambiguous,
+# which leaves cy counted under the first
+SAME_STANCE_TWO_DAYS = [[tweet("ann", "2016-06-21T10:00:00Z", "voteleave")],
+                        [tweet("ann", "2016-06-22T10:00:00Z", "#VoteLeave")]]
+CONFLICT_ACROSS_SHARDS = [[tweet("bob", "2016-06-21T10:00:00Z", "voteleave"),
+                           tweet("ann", "2016-06-21T11:00:00Z", "strongerin")],
+                          [tweet("bob", "2016-06-22T10:00:00Z", "strongerin")]]
+AMBIGUOUS_SECOND = [[tweet("cy", "2016-06-21T10:00:00Z", "café"),
+                     tweet("cy", "2016-06-22T10:00:00Z", "voteleave", "strongerin")]]
+
+
 @settings(deadline=None, max_examples=150)
 @example(shards=[[AMBIGUOUS, NO_ID]], by_user=False, totals=None, newline="\n",
          error_budget=1.0)
+@example(shards=SAME_STANCE_TWO_DAYS, by_user=True, totals=None, newline="\n", error_budget=0.0)
+@example(shards=CONFLICT_ACROSS_SHARDS, by_user=True, totals=None, newline="\n", error_budget=0.0)
+@example(shards=AMBIGUOUS_SECOND, by_user=True, totals=None, newline="\n", error_budget=0.0)
 @given(
     shards=shard_sets,
     by_user=st.booleans(),
