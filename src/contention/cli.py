@@ -7,10 +7,11 @@ Subcommands wire ingestion to analytics with reproducible output:
 - ``tweets``    JSONL tweet shards + hashtag lexicon -> daily timeseries
 - ``quadrant``  topics with importance ratings -> quadrant points
 
-Exit codes: 0 success, 2 data contract violation (a JSON error record is
-written to stderr), 64 usage error.  Identical inputs and flags (seed
-included) produce byte-identical output; results keep full precision
-internally and are rounded only when printed (``--precision``, default 6).
+Exit codes: 0 success, 2 data contract violation or a ``--samples`` too
+large to hold (a JSON error record is written to stderr), 64 usage error.
+Identical inputs and flags (seed included) produce byte-identical output;
+results keep full precision internally and are rounded only when printed
+(``--precision``, default 6).
 Output is plain text, never colorized, so NO_COLOR needs no handling.
 """
 
@@ -391,6 +392,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EX_USAGE  # unreachable; parser.error exits
     except (ContentionError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
+        return EX_DATA
+    except MemoryError as exc:
+        # a --samples too large to hold; numpy raises a private subclass,
+        # so the record names the builtin class
+        _emit_error(MemoryError(str(exc)))
         return EX_DATA
 
 

@@ -34,7 +34,9 @@ Poll, vote and quadrant rows are grouped by topic (region) and stance
 (option); a row with a missing field, an empty key or stance, or a repeated
 (key, stance) pair is malformed.  Each loader builds one StanceSpace per
 distinct ordered list of explicit stances and shares it among the topics
-(regions) that list them.
+(regions) that list them, and holds each distinct stance id once, as one
+string object, however many rows repeat it; so a load's memory grows by
+about one dict entry and one int per row, not by a copy of the id.
 """
 
 from __future__ import annotations
@@ -390,8 +392,12 @@ def _read_grouped(
     at_key, at_stance = header.index(key), header.index(stance)
     parse = parser(header)
     groups: dict[str, dict[str, V]] = {}
+    # csv.reader makes a new string per cell; this keeps the first string of
+    # each stance id, so every bucket and space that names it holds that one
+    first_of: Callable[[str, str], str] = {}.setdefault
     for fields in rows:
         group, sid = fields[at_key], fields[at_stance]
+        sid = first_of(sid, sid)
         if not group or not sid:
             raise MalformedRow(f"{path}: empty {key} or {stance} in row {_row(header, fields)}")
         bucket = groups.get(group)

@@ -40,12 +40,12 @@ given seed they make exactly the draws of ``Generator.integers`` (people)
 and ``Generator.choice`` (stance counts).  ``contention_sampled`` keeps two
 bitmasks per distinct held set, its stances and the stances they conflict
 with, as uint64 words (one narrower word when k < 64), so its cost grows
-with the distinct sets, not with their square.  Drawn indices are kept in
-the narrowest unsigned dtype and hits are counted in blocks of 2**16 draws,
-so at its peak ``contention_sampled`` holds about 10 bytes per draw (an
-int64 array of drawn people, then a byte per side up to 256 distinct held
-sets) and ``sampled_from_counts`` about 2 (a byte per side up to 254
-stances).
+with the distinct sets, not with their square.  People are drawn as uint32
+(int64 past 2**32 people), drawn indices are kept in the narrowest unsigned
+dtype and gathered and counted in blocks of 2**16 draws, so at its peak
+``contention_sampled`` holds about 6 bytes per draw (4 for one side's
+uint32 draws, plus a byte per side up to 256 distinct held sets) and
+``sampled_from_counts`` about 2 (a byte per side up to 254 stances).
 
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
@@ -53,11 +53,12 @@ size; the single final float division carries relative error ~1e-16.
 
 from __future__ import annotations
 
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import or_
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
@@ -500,7 +501,7 @@ def _group_masks(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
     rows = [sum(1 << j for j, c in enumerate(row) if c) for row in assignments.space.conflicts]
     groups = assignments._groups
     masks = [sum(1 << i for i in held) for held in groups]
-    return masks, [reduce(or_, (rows[i] for i in held), 0) for held in groups]
+    return masks, [reduce(operator.or_, (rows[i] for i in held), 0) for held in groups]
 
 
 def _conflicting_ordered_pairs(assignments: AssignmentSet) -> int:
@@ -560,6 +561,31 @@ def _words(masks: Sequence[int], k: int):
     return np.ascontiguousarray(words.T, dtype=dtype)
 
 
+def _draw_count(samples) -> int:
+    """``samples`` read by ``operator.index`` (TypeError for a float or a
+    str); ValueError below 1, MemoryError past the largest array length."""
+    samples = operator.index(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > sys.maxsize:
+        raise MemoryError("samples is more draws than one array can hold")
+    return samples
+
+
+def _take_blocks(values, indices):
+    """``values[indices]`` for indices all in range, in ``values``' dtype,
+    gathered one block at a time, so the intp copy of ``indices`` that
+    ``take`` makes never grows past ``_BLOCK`` entries.  ``mode="clip"``
+    moves no index in range and spares the copy of ``out`` that the
+    default mode makes."""
+    import numpy as np
+
+    out = np.empty(len(indices), dtype=values.dtype)
+    for start in range(0, len(indices), _BLOCK):
+        values.take(indices[start:start + _BLOCK], out=out[start:start + _BLOCK], mode="clip")
+    return out
+
+
 def _count_word_hits(opposing, held, first, second) -> int:
     """Number of draws i for which ``opposing[:, first[i]] & held[:, second[i]]``
     is nonzero in some word (see ``_words``), counted one block of draws at
@@ -609,11 +635,10 @@ def contention_sampled(
     seeded PCG64 generator; the same seed and inputs always reproduce the
     same estimate.
     """
+    samples = _draw_count(samples)
     n = assignments.n
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     import numpy as np
 
     space = assignments.space
@@ -627,8 +652,12 @@ def contention_sampled(
     masks, opposing = _group_masks(assignments)
 
     rng = np.random.default_rng(seed)
-    first = person_sig[rng.integers(0, n, size=samples)]
-    second = person_sig[rng.integers(0, n, size=samples)]
+    # up to 2**32 people the bounded draws come from one 32-bit generator
+    # whatever the output dtype, so uint32 draws are the int64 ones
+    drawn = np.uint32 if n <= 1 << 32 else np.int64
+    first, second = (
+        _take_blocks(person_sig, rng.integers(0, n, size=samples, dtype=drawn)) for _ in range(2)
+    )
     hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), first, second)
     k = _norm_k(space.k, assignments.observed_k, k_mode)
     return _result_from_ratio(
@@ -657,11 +686,10 @@ def sampled_from_counts(
     a slice that no cdf edge cuts gives its stance at once, and only a
     uniform in a cut slice is searched for.
     """
+    samples = _draw_count(samples)
     n = counts.total
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     import numpy as np
 
     space = counts.space

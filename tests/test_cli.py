@@ -204,6 +204,21 @@ class TestPollCommand:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert rows and all(row[1] == str(int(a) + int(b)) for row in rows)
 
+    @pytest.mark.parametrize("command", ["poll", "votes"])
+    @pytest.mark.parametrize("samples", [10**18, 10**20],
+                             ids=["past-the-address-space", "past-the-array-length"])
+    def test_samples_too_many_to_hold_is_data_error(self, tmp_path, command, samples, capsys):
+        # 10**18 one-byte draws ask for more than any 64-bit address space
+        # maps, and 10**20 for more than an array's length, so both fail
+        # before anything is allocated
+        header = "topic,stance,count" if command == "poll" else "region,option,count"
+        path = write(tmp_path, "t.csv", f"{header}\nt,leave,5\nt,remain,3\n")
+        code, out, err = run_cli([command, path, "--samples", str(samples)], capsys)
+        assert (code, out) == (EX_DATA, "")
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "MemoryError"
+
     def test_brexit_national_fixture(self, tmp_path, capsys):
         path = write(tmp_path, "brexit.csv",
                      "topic,stance,count\nbrexit,leave,17410742\nbrexit,remain,16141241\n")

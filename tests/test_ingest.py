@@ -28,6 +28,7 @@ from contention.ingest import (
     RegionRow,
     all_regions_row,
     _read_csv_rows,
+    _read_grouped,
     StanceLexicon,
     ingest_tweets,
     iter_tweet_stream,
@@ -703,6 +704,28 @@ def test_grouped_csv_row_rule(tmp_path, loader, bad):
     path = write(tmp_path, "in.csv", f"{header}\n{good}\n{BAD_ROWS[bad].format(tail=tail)}\n")
     with pytest.raises(MalformedRow):
         load(path)
+
+
+@pytest.mark.parametrize("loader", sorted(GROUPED_LOADERS))
+def test_grouped_rows_hold_each_stance_id_once(tmp_path, loader):
+    # two groups list the same ids in two orders; the ids are longer than
+    # one character, as CPython keeps one object per one-character string
+    # whatever the reader does
+    load, header, tail = GROUPED_LOADERS[loader]
+    key, stance = header.split(",")[:2]
+    rows = [("t1", "leave"), ("t1", "remain"), ("t2", "remain"), ("t2", "leave")]
+    path = write(tmp_path, "in.csv",
+                 "".join(f"{line}\n" for line in [header, *(f"{g},{s},1{tail}" for g, s in rows)]))
+    groups = _read_grouped(path, key, stance, lambda header: lambda group, sid, fields: sid)
+    first, second = groups["t1"], groups["t2"]
+    assert list(first) == ["leave", "remain"] and list(second) == ["remain", "leave"]
+    for sid, parsed in first.items():
+        [held] = [other for other in second if other == sid]
+        assert held is sid and parsed is sid and second[held] is sid
+    if loader != "votes":  # every region of a vote table shares one space
+        (_, a, *_), (_, b, *_) = load(path)
+        assert a.space is not b.space and a.space.ids == b.space.ids[::-1]
+        assert all(x is y for x, y in zip(a.space.ids, b.space.ids[::-1]))
 
 
 def dictreader_rows(path, required):

@@ -159,6 +159,23 @@ class TestSampled:
         with pytest.raises(ValueError):
             contention_sampled(self.assignments, 0, seed=1)
 
+    @pytest.mark.parametrize("sampler", ["people", "counts"])
+    def test_samples_is_read_as_an_index(self, sampler):
+        # both samplers read samples by operator.index: a float or a str is
+        # the same TypeError, and a numpy integer is its int
+        import numpy as np
+
+        def run(samples):
+            if sampler == "people":
+                return contention_sampled(self.assignments, samples, seed=1)
+            return sampled_from_counts(self.assignments.to_counts(), samples, seed=1)
+
+        for bad in (10.0, "10"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                run(bad)
+        assert repr(run(np.int64(1000))) == repr(run(1000))
+        assert run(np.uint16(1000)).samples == 1000
+
     def test_counts_backed_sampler_matches_exact(self):
         c = counts(100, 300, 600)
         exact = contention_exclusive(c)

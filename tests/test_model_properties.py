@@ -395,6 +395,19 @@ def test_counts_sampler_draws_what_generator_choice_draws(counts, samples, seed,
     assert repr(result) == repr(reference)
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 65_537, 2**31, 2**32 - 1, 2**32])
+def test_uint32_people_draws_are_the_int64_draws(n):
+    # contention_sampled draws people as uint32 up to 2**32 of them and
+    # promises the draws of Generator.integers, whose default dtype is int64
+    import numpy as np
+
+    size = 2 * model._BLOCK + 3
+    narrow = np.random.default_rng(n).integers(0, n, size=size, dtype=np.uint32)
+    wide = np.random.default_rng(n).integers(0, n, size=size)
+    assert narrow.dtype == np.uint32 and wide.dtype == np.int64
+    assert np.array_equal(narrow, wide)
+
+
 def test_people_sampler_matches_reference_past_one_block():
     # 10 stances held one to five at a time give hundreds of distinct sets,
     # more than one byte numbers
