@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Iterable, Sequence
 
-from .errors import ContentionError, EmptyInput, ImportanceOutOfDeclaredRange, MissingImportance
-from .ingest import ALL_REGIONS, DailySeries, RegionTable, all_regions_row
+from .errors import EmptyInput, ImportanceOutOfDeclaredRange, MissingImportance
+from .ingest import DailySeries, RegionTable
 from .model import ContentionResult, KMode, StanceCounts, _norm_k, contention_exclusive
 
 
@@ -62,7 +62,8 @@ def region_contention(
     *,
     score: Callable[[StanceCounts], ContentionResult] | None = None,
 ) -> list[tuple[str, ContentionResult]]:
-    """Contention per region plus the ``__all__`` aggregate, sorted by id.
+    """Contention per region, the table's ``__all__`` aggregate among them,
+    sorted by id.
 
     ``score`` replaces the closed form at the declared k, e.g. with a
     sampled estimate or an observed-k score.  A table with no rows raises
@@ -70,12 +71,9 @@ def region_contention(
     """
     if score is None:
         score = contention_exclusive
-    rows = list(table.rows)
-    if not rows:
+    if not table.rows:
         raise EmptyInput(f"region table {table.topic!r} has no rows")
-    if all(r.region != ALL_REGIONS for r in rows):
-        rows.append(all_regions_row(rows))
-    return [(r.region, score(r.counts)) for r in sorted(rows, key=lambda r: r.region)]
+    return [(r.region, score(r.counts)) for r in sorted(table.rows, key=lambda r: r.region)]
 
 
 @dataclass(frozen=True)
@@ -92,36 +90,25 @@ def quadrant_points(
     scale: Sequence[float],
     *,
     k_mode: KMode = "declared",
-    on_error: str = "raise",
-) -> tuple[list[QuadrantPoint], list[tuple[str, str]]]:
+) -> list[QuadrantPoint]:
     """Place topics on the contention x importance plane.
 
     ``scale`` declares the source's rating bounds (e.g. 0..10); ratings
     are mapped linearly onto [0, 1].  No scalar controversy value is
-    produced: the two axes are reported as-is.  With ``on_error="skip"``
-    bad topics are returned in the rejects list instead of raising, so
-    every input topic lands in exactly one of the two outputs.
+    produced: the two axes are reported as-is.  The first bad topic
+    raises.
     """
     lo, hi = float(scale[0]), float(scale[1])
     if not lo < hi:
         raise ValueError(f"importance scale must satisfy lo < hi, got ({lo}, {hi})")
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     points: list[QuadrantPoint] = []
-    rejects: list[tuple[str, str]] = []
     for topic, counts, importance in rows:
-        try:
-            if importance is None:
-                raise MissingImportance(f"topic {topic!r} has no importance rating")
-            if not lo <= importance <= hi:
-                raise ImportanceOutOfDeclaredRange(
-                    f"topic {topic!r}: importance {importance} outside [{lo}, {hi}]"
-                )
-            result = contention_exclusive(counts, k_mode=k_mode)
-        except ContentionError as exc:
-            if on_error == "raise":
-                raise
-            rejects.append((topic, f"{type(exc).__name__}: {exc}"))
-            continue
+        if importance is None:
+            raise MissingImportance(f"topic {topic!r} has no importance rating")
+        if not lo <= importance <= hi:
+            raise ImportanceOutOfDeclaredRange(
+                f"topic {topic!r}: importance {importance} outside [{lo}, {hi}]"
+            )
+        result = contention_exclusive(counts, k_mode=k_mode)
         points.append(QuadrantPoint(topic, result.normalized, (importance - lo) / (hi - lo)))
-    return points, rejects
+    return points

@@ -367,7 +367,7 @@ def cmd_quadrant(args: argparse.Namespace) -> int:
     if not cfg["importance_scale"]:
         raise _UsageError("quadrant requires --importance-scale LO HI")
     rows = ingest.load_quadrant_topics(args.input)
-    points, _ = analytics.quadrant_points(rows, cfg["importance_scale"], k_mode=cfg["normalize"])
+    points = analytics.quadrant_points(rows, cfg["importance_scale"], k_mode=cfg["normalize"])
     _write_records([vars(p) for p in points], cfg)
     return EX_OK
 

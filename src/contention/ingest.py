@@ -288,6 +288,9 @@ class RegionRow:
 
 @dataclass(frozen=True)
 class RegionTable:
+    """A topic's regions.  The table owns the ``__all__`` aggregate: rows
+    given without one gain ``all_regions_row(rows)`` at the end."""
+
     topic: str
     rows: tuple[RegionRow, ...]
 
@@ -295,6 +298,8 @@ class RegionTable:
         ids = [r.region for r in self.rows]
         if len(set(ids)) != len(ids):
             raise ValueError("region ids must be unique")
+        if ids and ALL_REGIONS not in ids:
+            object.__setattr__(self, "rows", (*self.rows, all_regions_row(self.rows)))
 
 
 def all_regions_row(rows: Sequence[RegionRow]) -> RegionRow:
@@ -540,8 +545,8 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
     ``turnout="eligible"``: g0 = eligible - valid votes, folding non-voters
     and rejected ballots together; every region then needs an
     ``__eligible__`` sidecar row.  In both, an ``__eligible__`` row must
-    cover the region's ballots (see ``turnout_adjust``).  An ``__all__``
-    row summing every region is appended.
+    cover the region's ballots (see ``turnout_adjust``).  The table adds
+    the ``__all__`` row summing every region.
     """
     if turnout not in ("ballots", "eligible"):
         raise ValueError(f"turnout must be 'ballots' or 'eligible', got {turnout!r}")
@@ -573,7 +578,6 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
         elif turnout == "eligible":
             raise MissingEligible(f"region {region!r} has no {ELIGIBLE} row")
         table_rows.append(RegionRow(region, counts, eligible))
-    table_rows.append(all_regions_row(table_rows))
     return RegionTable(Path(path).stem, tuple(table_rows))
 
 
@@ -597,7 +601,7 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     """Read ``topic,stance,count,importance`` rows into per-topic counts.
 
     The importance rating must agree across a topic's rows; an empty field
-    means the topic has no rating (rejected later unless skipped).
+    means the topic has no rating (rejected when it is scored).
     """
     ratings: dict[str, float | None] = {}
 

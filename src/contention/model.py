@@ -41,11 +41,11 @@ and ``Generator.choice`` (stance counts).  ``contention_sampled`` keeps two
 bitmasks per distinct held set, its stances and the stances they conflict
 with, as uint64 words (one narrower word when k < 64), so its cost grows
 with the distinct sets, not with their square.  People are drawn as uint32
-(int64 past 2**32 people), drawn indices are kept in the narrowest unsigned
-dtype and gathered and counted in blocks of 2**16 draws, so at its peak
-``contention_sampled`` holds about 6 bytes per draw (4 for one side's
-uint32 draws, plus a byte per side up to 256 distinct held sets) and
-``sampled_from_counts`` about 2 (a byte per side up to 254 stances).
+(int64 past 2**32 people).  Both samplers draw, map and count in blocks of
+2**16 draws: the stream gives all of one side before the other, so only
+the first side is held whole, in the narrowest unsigned dtype, and each
+block of the second is counted as it is drawn.  At their peak both hold
+about 1 byte per draw (up to 256 distinct held sets, or 254 stances).
 
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
@@ -572,29 +572,30 @@ def _draw_count(samples) -> int:
     return samples
 
 
-def _take_blocks(values, indices):
-    """``values[indices]`` for indices all in range, in ``values``' dtype,
-    gathered one block at a time, so the intp copy of ``indices`` that
-    ``take`` makes never grows past ``_BLOCK`` entries.  ``mode="clip"``
-    moves no index in range and spares the copy of ``out`` that the
-    default mode makes."""
+def _draw_pairs(samples: int, dtype, draw):
+    """The two sides' ``samples`` draws as ``(first, second)`` blocks of up to
+    ``_BLOCK`` draws each, where ``draw(m)`` makes the next m draws in
+    ``dtype``.  The stream gives all of side 1 before side 2, so side 1 is
+    drawn whole, one block at a time, and held in ``dtype``; each block of
+    side 2 is drawn as it is yielded and then dropped."""
     import numpy as np
 
-    out = np.empty(len(indices), dtype=values.dtype)
-    for start in range(0, len(indices), _BLOCK):
-        values.take(indices[start:start + _BLOCK], out=out[start:start + _BLOCK], mode="clip")
-    return out
+    first = np.empty(samples, dtype=dtype)
+    starts = range(0, samples, _BLOCK)
+    for start in starts:
+        first[start:start + _BLOCK] = draw(min(_BLOCK, samples - start))
+    for start in starts:
+        yield first[start:start + _BLOCK], draw(min(_BLOCK, samples - start))
 
 
-def _count_word_hits(opposing, held, first, second) -> int:
-    """Number of draws i for which ``opposing[:, first[i]] & held[:, second[i]]``
-    is nonzero in some word (see ``_words``), counted one block of draws at
-    a time, so no temporary grows past ``_BLOCK`` words."""
+def _count_word_hits(opposing, held, blocks) -> int:
+    """Number of draws i for which ``opposing[:, a[i]] & held[:, b[i]]`` is
+    nonzero in some word (see ``_words``), over the ``(a, b)`` blocks of
+    ``_draw_pairs``, so no temporary grows past ``_BLOCK`` words."""
     import numpy as np
 
     hits = 0
-    for start in range(0, len(first), _BLOCK):
-        a, b = first[start:start + _BLOCK], second[start:start + _BLOCK]
+    for a, b in blocks:
         found = opposing[0].take(a)
         found &= held[0].take(b)
         for opp, mask in zip(opposing[1:], held[1:]):
@@ -605,19 +606,19 @@ def _count_word_hits(opposing, held, first, second) -> int:
     return hits
 
 
-def _count_hits(conflicts: Sequence[Sequence[bool]], first, second) -> int:
-    """Number of draws i with ``conflicts[first[i]][second[i]]``, read from
-    the flattened square matrix one block of draws at a time, so no
+def _count_hits(conflicts: Sequence[Sequence[bool]], blocks) -> int:
+    """Number of draws i with ``conflicts[a[i]][b[i]]`` over the ``(a, b)``
+    blocks of ``_draw_pairs``, read from the flattened square matrix, so no
     temporary grows past ``_BLOCK`` cell indices."""
     import numpy as np
 
     flat = np.frombuffer(b"".join(map(bytes, conflicts)), dtype=bool)
     width = len(conflicts)
     hits = 0
-    for start in range(0, len(first), _BLOCK):
-        cells = first[start:start + _BLOCK].astype(np.intp)
+    for a, b in blocks:
+        cells = a.astype(np.intp)
         cells *= width
-        cells += second[start:start + _BLOCK]
+        cells += b
         hits += int(np.count_nonzero(flat[cells]))
     return hits
 
@@ -653,12 +654,14 @@ def contention_sampled(
 
     rng = np.random.default_rng(seed)
     # up to 2**32 people the bounded draws come from one 32-bit generator
-    # whatever the output dtype, so uint32 draws are the int64 ones
+    # whatever the output dtype, so uint32 draws are the int64 ones; a call
+    # keeps no state but the generator's (its spare 32-bit half included),
+    # so one block per call draws what one call per side draws.  mode="clip"
+    # moves no index in range and spares the copy the default mode makes
     drawn = np.uint32 if n <= 1 << 32 else np.int64
-    first, second = (
-        _take_blocks(person_sig, rng.integers(0, n, size=samples, dtype=drawn)) for _ in range(2)
-    )
-    hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), first, second)
+    blocks = _draw_pairs(samples, dtype, lambda m: person_sig.take(
+        rng.integers(0, n, size=m, dtype=drawn), mode="clip"))
+    hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), blocks)
     k = _norm_k(space.k, assignments.observed_k, k_mode)
     return _result_from_ratio(
         hits, samples, k=k, population=n, method="general-sampled",
@@ -708,19 +711,17 @@ def sampled_from_counts(
     table = np.where(starts[:-1] == starts[1:], starts[:-1], cut).astype(dtype)
 
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(2):
-        drawn = np.empty(samples, dtype=dtype)
-        for start in range(0, samples, _BLOCK):
-            uniform = rng.random(min(_BLOCK, samples - start))
-            uniform *= size
-            stance = table[uniform.astype(np.intp)]
-            searched = stance == cut
-            if searched.any():
-                stance[searched] = edges.searchsorted(uniform[searched], side="right")
-            drawn[start:start + len(stance)] = stance
-        draws.append(drawn)
-    hits = _count_hits(space.conflicts, *draws)
+
+    def draw(m):
+        uniform = rng.random(m)
+        uniform *= size
+        stance = table[uniform.astype(np.intp)]
+        searched = stance == cut
+        if searched.any():
+            stance[searched] = edges.searchsorted(uniform[searched], side="right")
+        return stance
+
+    hits = _count_hits(space.conflicts, _draw_pairs(samples, dtype, draw))
     k = _norm_k(space.k, counts.observed_k, k_mode)
     return _result_from_ratio(
         hits, samples, k=k, population=n, method="general-sampled",

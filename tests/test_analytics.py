@@ -233,8 +233,7 @@ class TestQuadrantPoints:
         return [("parks", parks, 6.0), ("background-checks", checks, 8.5)]
 
     def test_reported_splits_reproduce_scores(self):
-        points, rejects = quadrant_points(self.make_rows(), scale=(0, 10))
-        assert rejects == []
+        points = quadrant_points(self.make_rows(), scale=(0, 10))
         by_topic = {p.topic: p for p in points}
         assert abs(by_topic["parks"].contention - 0.26) < 0.01
         assert abs(by_topic["background-checks"].contention - 0.39) < 0.01
@@ -242,7 +241,7 @@ class TestQuadrantPoints:
 
     def test_both_axes_maximal(self):
         rows = [("split", StanceCounts(TWO, (0, 500, 500)), 10.0)]
-        [point], _ = quadrant_points(rows, scale=(0, 10))
+        [point] = quadrant_points(rows, scale=(0, 10))
         assert point == QuadrantPoint("split", 1.0, 1.0)
 
     def test_missing_importance_raises(self):
@@ -254,17 +253,6 @@ class TestQuadrantPoints:
         rows = [("t", StanceCounts(TWO, (0, 1, 1)), 11.0)]
         with pytest.raises(ImportanceOutOfDeclaredRange):
             quadrant_points(rows, scale=(0, 10))
-
-    def test_skip_mode_accounts_for_every_topic(self):
-        rows = self.make_rows() + [
-            ("unrated", StanceCounts(TWO, (0, 1, 1)), None),
-            ("empty", StanceCounts(TWO, (0, 0, 0)), 5.0),
-        ]
-        points, rejects = quadrant_points(rows, scale=(0, 10), on_error="skip")
-        assert {p.topic for p in points} | {t for t, _ in rejects} == {
-            "parks", "background-checks", "unrated", "empty"
-        }
-        assert len(points) + len(rejects) == len(rows)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -631,6 +631,9 @@ GOLDEN_TIE_POLL = (
     "tie,a,5\ntie,b,4\ntie,c,3\ntie,d,2\ntie,e,1\ntie,__none__,3\n"
 )
 
+# the topline poll of the CI console-script check, sampled past three blocks
+GOLDEN_TOPLINE_POLL = "topic,stance,count\nbrexit,leave,519\nbrexit,remain,481\n"
+
 GOLDEN_ELIGIBLE_VOTES = (
     "region,option,count\n"
     "north,a,30\nnorth,b,20\nnorth,__rejected__,3\nnorth,__eligible__,100\n"
@@ -676,6 +679,11 @@ GOLDEN = {
         ["poll", "{tie}", "--samples", "4000", "--seed", "6"],
         "topic,n,k,raw,normalized\n"
         "tie,18,5,0.528750,0.660938\n",
+    ),
+    "poll-sampled-past-three-blocks": (
+        ["poll", "{topline}", "--samples", "200003", "--seed", "9"],
+        "topic,n,k,raw,normalized\n"
+        "brexit,1000,2,0.499813,0.999625\n",
     ),
     "votes-ballots": (
         ["votes", "{brexit}", "--turnout", "ballots"],
@@ -780,6 +788,7 @@ def test_golden_stdout(case, tmp_path, poll_csv, brexit_votes_csv, us_votes_csv,
         "quadrant": write(tmp_path, "quadrant.csv", GOLDEN_QUADRANT),
         "eligible": write(tmp_path, "eligible.csv", GOLDEN_ELIGIBLE_VOTES),
         "tie": write(tmp_path, "tie.csv", GOLDEN_TIE_POLL),
+        "topline": write(tmp_path, "topline.csv", GOLDEN_TOPLINE_POLL),
     }
     template, expected = GOLDEN[case]
     code, out, _ = run_cli([arg.format(**files) for arg in template], capsys)

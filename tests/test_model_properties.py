@@ -408,6 +408,52 @@ def test_uint32_people_draws_are_the_int64_draws(n):
     assert np.array_equal(narrow, wide)
 
 
+@pytest.mark.parametrize("dtype, n", [
+    *(("uint32", n) for n in [1, 2, 255, 256, 65_537, 2**31, 2**32 - 1, 2**32]),
+    ("int64", 2**32 + 5), ("int64", 2**62),
+])
+@pytest.mark.parametrize("size", [model._BLOCK - 1, model._BLOCK + 1, 3 * model._BLOCK + 7])
+def test_blockwise_people_draws_are_the_whole_draws(dtype, n, size):
+    # _draw_pairs draws side 1 and then side 2 one _BLOCK at a time, and the
+    # people sampler promises the draws of one Generator.integers call per side
+    import numpy as np
+
+    rng = np.random.default_rng(n)
+    blocks = list(model._draw_pairs(size, dtype, lambda m: rng.integers(0, n, size=m, dtype=dtype)))
+    whole = np.random.default_rng(n)
+    for side in range(2):
+        drawn = np.concatenate([pair[side] for pair in blocks])
+        assert drawn.dtype == dtype
+        assert np.array_equal(drawn, whole.integers(0, n, size=size, dtype=dtype))
+
+
+@pytest.mark.parametrize("sampler", ["people", "counts"])
+def test_sampler_peak_grows_about_one_byte_per_draw(sampler):
+    # both samplers hold only the first side's draws, a byte each up to 256
+    # held sets or 254 stances; numpy reports its buffers to tracemalloc
+    import tracemalloc
+
+    space = StanceSpace.exclusive(["a", "b", "c"])
+    if sampler == "people":
+        data = AssignmentSet.from_stance_ids(space, [["a"], ["b", "c"], [], ["c"]] * 50)
+        run = contention_sampled
+    else:
+        data, run = StanceCounts(space, (3, 5, 7, 11)), sampled_from_counts
+    run(data, 1000, 5)  # numpy loaded and every memo filled before measuring
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(data, samples, 5)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = 1 << 20, 1 << 22
+    assert (peak(large) - peak(small)) / (large - small) <= 1.25
+
+
 def test_people_sampler_matches_reference_past_one_block():
     # 10 stances held one to five at a time give hundreds of distinct sets,
     # more than one byte numbers
