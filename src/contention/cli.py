@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import analytics, ingest
 from .errors import ConfigError, ContentionError, EmptyInput, ResultTooLarge
@@ -264,7 +264,8 @@ def _fmt(value: Any, precision: int) -> str:
     return str(value)
 
 
-def _write_records(records: list[dict[str, Any]], cfg: Mapping[str, Any]) -> None:
+def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) -> None:
+    """Write ``records``, at least one, built as they are written if lazy."""
     precision = cfg["precision"]
 
     def emit(handle: TextIO) -> None:
@@ -278,8 +279,9 @@ def _write_records(records: list[dict[str, Any]], cfg: Mapping[str, Any]) -> Non
                     handle.write(json.dumps(rounded) + "\n")
             else:
                 writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(records[0].keys())
-                for record in records:
+                for i, record in enumerate(records):
+                    if not i:
+                        writer.writerow(record.keys())
                     writer.writerow(_fmt(v, precision) for v in record.values())
         except ValueError as exc:
             # str() and json.dumps refuse an integer longer than the
@@ -309,19 +311,26 @@ def _score(counts, cfg: Mapping[str, Any]):
 
 # -- subcommands --------------------------------------------------------------------
 
-def _score_record(key: str, name: str, result) -> dict[str, Any]:
-    """One ``<key>,n,k,raw,normalized`` output record."""
-    return {key: name, "n": result.population, "k": result.k,
-            "raw": result.raw, "normalized": result.normalized}
+def _score_row(name: str, result) -> tuple:
+    """One scored topic or region, as compact as the output allows."""
+    return name, result.population, result.k, result.raw, result.normalized
+
+
+def _score_records(key: str, rows: Iterable[tuple]) -> Iterator[dict[str, Any]]:
+    """Each score row as its ``<key>,n,k,raw,normalized`` output record."""
+    keys = (key, "n", "k", "raw", "normalized")
+    return (dict(zip(keys, row)) for row in rows)
 
 
 def cmd_poll(args: argparse.Namespace) -> int:
     cfg = _effective(args)
-    records = [
-        _score_record("topic", topic, _score(counts, cfg))
-        for topic, counts in ingest.load_poll_topline(args.input)
-    ]
-    _write_records(records, cfg)
+    topics = ingest.load_poll_topline(args.input)
+    topics.reverse()
+    rows = []
+    while topics:  # pop each topic, so its counts go as soon as it is scored
+        topic, counts = topics.pop()
+        rows.append(_score_row(topic, _score(counts, cfg)))
+    _write_records(_score_records("topic", rows), cfg)
     return EX_OK
 
 
@@ -329,7 +338,7 @@ def cmd_votes(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     table = ingest.load_vote_records(args.input, cfg["turnout"])
     scored = analytics.region_contention(table, score=lambda counts: _score(counts, cfg))
-    _write_records([_score_record("region", region, result) for region, result in scored], cfg)
+    _write_records(_score_records("region", [_score_row(*pair) for pair in scored]), cfg)
     return EX_OK
 
 

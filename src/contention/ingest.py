@@ -35,8 +35,12 @@ Poll, vote and quadrant rows are grouped by topic (region) and stance
 (key, stance) pair is malformed.  Each loader builds one StanceSpace per
 distinct ordered list of explicit stances and shares it among the topics
 (regions) that list them, and holds each distinct stance id once, as one
-string object, however many rows repeat it; so a load's memory grows by
-about one dict entry and one int per row, not by a copy of the id.
+string object, however many rows repeat it.  The poll and quadrant loaders
+hold the open topic's rows in a dict and each finished topic as its one
+StanceCounts, about one int per row, when each topic's rows come
+together.  A later row of a finished topic reopens it, and a reopened
+topic stays a dict until the file ends.  The vote loader keeps every
+region's rows, as its one space needs every option.
 """
 
 from __future__ import annotations
@@ -383,7 +387,8 @@ def _read_grouped(
     parser: Callable[[list[str]], Callable[[str, str, list[str]], V]],
     values: Sequence[str] = (),
     optional: Sequence[str] = (),
-) -> dict[str, dict[str, V]]:
+    spaces: dict[tuple[str, ...], StanceSpace] | None = None,
+) -> dict[str, dict[str, V] | StanceCounts]:
     """Rows grouped by their ``key`` cell, then by their ``stance`` cell, in
     file order.  ``parser`` is given the header and returns the function
     that turns a row's key, stance and fields into its value as it is read.
@@ -391,12 +396,21 @@ def _read_grouped(
     The header must also name the ``values`` columns (see
     ``_read_csv_rows`` for ``optional``).  A row with an empty key or
     stance, or a (key, stance) pair seen before, is malformed.
+
+    With ``spaces``, a group becomes its StanceCounts (``_exclusive_counts``)
+    once a row names another group.  A later row of it reopens it, and a
+    reopened group stays open until the file ends, so each group is closed
+    at most twice however often its rows are split.
     """
     rows = _read_csv_rows(path, (key, stance, *values), optional)
     header = next(rows)
     at_key, at_stance = header.index(key), header.index(stance)
     parse = parser(header)
-    groups: dict[str, dict[str, V]] = {}
+    groups: dict[str, dict[str, V] | StanceCounts] = {}
+    # a reopened group stays open until the file ends: only a new one closes
+    group_now, bucket, closes = None, {}, False
+    # closed groups whose __none__ row holds 0, the one row their counts lose
+    zero_none: set[str] = set()
     # csv.reader makes a new string per cell; this keeps the first string of
     # each stance id, so every bucket and space that names it holds that one
     first_of: Callable[[str, str], str] = {}.setdefault
@@ -405,30 +419,45 @@ def _read_grouped(
         sid = first_of(sid, sid)
         if not group or not sid:
             raise MalformedRow(f"{path}: empty {key} or {stance} in row {_row(header, fields)}")
-        bucket = groups.get(group)
-        if bucket is None:
-            bucket = groups[group] = {}
+        if group != group_now:
+            if closes:
+                if bucket.get(NO_STANCE) == 0:
+                    zero_none.add(group_now)
+                groups[group_now] = _exclusive_counts(bucket, spaces)
+            group_now, bucket = group, groups.get(group)
+            closes = bucket is None and spaces is not None
+            if bucket is None:
+                bucket = groups[group] = {}
+            elif isinstance(bucket, StanceCounts):  # reopen a closed group from its counts
+                counts = bucket
+                bucket = groups[group] = dict(zip(counts.space.ids, counts.explicit))
+                if counts.no_stance or group in zero_none:
+                    bucket[NO_STANCE] = counts.no_stance
         if sid in bucket:
             raise DuplicateStanceRow(f"{group}/{sid} appears twice")
         bucket[sid] = parse(group, sid, fields)
     if not groups:
         raise EmptyInput(f"{path}: no data rows")
+    if spaces is not None:
+        for group, bucket in groups.items():
+            if not isinstance(bucket, StanceCounts):
+                groups[group] = _exclusive_counts(bucket, spaces)
     return groups
 
 
 def _exclusive_counts(
-    stances: Mapping[str, int], spaces: dict[tuple[str, ...], StanceSpace]
+    stances: dict[str, int], spaces: dict[tuple[str, ...], StanceSpace]
 ) -> StanceCounts:
     """Counts over an exclusive space of the explicit stances, in their order;
-    the ``__none__`` entry, if any, is the no-stance group.  ``spaces`` maps
-    each ordered tuple of explicit ids to its space, built on first use."""
-    explicit = dict(stances)
-    g0 = explicit.pop(NO_STANCE, 0)
-    ids = tuple(explicit)
+    the ``__none__`` entry, popped if any, is the no-stance group.
+    ``spaces`` maps each ordered tuple of explicit ids to its space, built
+    on first use."""
+    g0 = stances.pop(NO_STANCE, 0)
+    ids = tuple(stances)
     space = spaces.get(ids)
     if space is None:
         space = spaces[ids] = StanceSpace.exclusive(ids)
-    return StanceCounts(space, (g0, *explicit.values()))
+    return StanceCounts(space, (g0, *stances.values()))
 
 
 def _parse_count(text: str, header: Sequence[str], fields: Sequence[str]) -> int:
@@ -533,9 +562,8 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
 
         return parse_percent
 
-    topics = _read_grouped(path, "topic", "stance", parser, optional=("count", "percent", "total"))
-    spaces: dict[tuple[str, ...], StanceSpace] = {}
-    return [(topic, _exclusive_counts(stances, spaces)) for topic, stances in topics.items()]
+    return list(_read_grouped(path, "topic", "stance", parser,
+                              optional=("count", "percent", "total"), spaces={}).items())
 
 
 def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable:
@@ -617,12 +645,8 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
 
         return parse
 
-    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",))
-    spaces: dict[tuple[str, ...], StanceSpace] = {}
-    return [
-        (topic, _exclusive_counts(stances, spaces), ratings[topic])
-        for topic, stances in topics.items()
-    ]
+    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",), {})
+    return [(topic, counts, ratings[topic]) for topic, counts in topics.items()]
 
 
 def _importance(text: str, header: Sequence[str], fields: Sequence[str]) -> float | None:

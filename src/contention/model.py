@@ -245,7 +245,7 @@ class SubpopulationFilter:
         return tuple(attr for attr, _ in self.criteria)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StanceCounts:
     """Per-stance population counts for one topic/population slice.
 
@@ -258,7 +258,8 @@ class StanceCounts:
     filter: SubpopulationFilter | None = None
 
     def __post_init__(self) -> None:
-        counts = tuple(map(int, self.counts))
+        # via a list: tuple(map(...)) can keep the larger block it grew into
+        counts = tuple(list(map(int, self.counts)))
         if len(counts) != self.space.k + 1:
             raise ValueError(
                 f"expected {self.space.k + 1} counts (index 0 = no stance), got {len(counts)}"

@@ -164,6 +164,28 @@ class TestPollCommand:
         ]
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_split_topic_is_scored_whole(self, tmp_path, flags, capsys):
+        # topic a's rows come on both sides of topic b's
+        path = write(tmp_path, "poll.csv",
+                     "topic,stance,count\na,x,3\na,__none__,0\nb,x,4\nb,y,5\na,y,6\n")
+        code, out, _ = run_cli(["poll", path, *flags], capsys)
+        whole = write(tmp_path, "whole.csv", "topic,stance,count\na,x,3\na,__none__,0\na,y,6\n"
+                      "b,x,4\nb,y,5\n")
+        assert (code, out) == (0, run_cli(["poll", whole, *flags], capsys)[1])
+        assert out.splitlines()[-2:] in (
+            ["a,9,2,0.444444,0.888889", "b,9,2,0.493827,0.987654"],
+            ['{"topic": "a", "n": 9, "k": 2, "raw": 0.444444, "normalized": 0.888889}',
+             '{"topic": "b", "n": 9, "k": 2, "raw": 0.493827, "normalized": 0.987654}'])
+
+    def test_duplicate_stance_across_a_split_topic_is_data_error(self, tmp_path, capsys):
+        path = write(tmp_path, "poll.csv", "topic,stance,count\nt,s,3\nt,r,2\nu,s,4\nt,s,5\n")
+        code, out, err = run_cli(["poll", path], capsys)
+        assert code == EX_DATA and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "DuplicateStanceRow", "message": "t/s appears twice"}
+        ]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_population_too_long_to_write_is_data_error(self, tmp_path, flags, capsys):
         # each count has as many digits as int() reads; their sum has one more
         limit = sys.get_int_max_str_digits()

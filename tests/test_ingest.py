@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contention.ingest
 from contention.errors import (
     DuplicateStanceRow,
     EligibleLessThanVotes,
@@ -184,6 +185,26 @@ class TestPollTopline:
                      "b,x,50,100\nb,y,50,101\n")
         with pytest.raises(MalformedRow, match="^topic 'b' carries conflicting respondent totals$"):
             load_poll_topline(path)
+
+    def test_percent_texts_that_read_alike_give_one_count(self, tmp_path):
+        path = write(tmp_path, "poll.csv",
+                     "topic,stance,percent,total\n"
+                     "t,a,10,30\nt,b,1e1,30\nt,c,10.0,30\nu,a,10.0,30\nu,b,10,30\n")
+        (_, t), (_, u) = load_poll_topline(path)
+        assert t.counts == (0, 3, 3, 3) and u.counts == (0, 3, 3)
+
+    @pytest.mark.parametrize("cell, error, message", [
+        ("abc", MalformedRow, "bad percentage"),
+        ("-5", NegativeCount, "negative percentage"),
+        ("150", MalformedRow, "percentage above 100"),
+    ])
+    def test_repeated_bad_percent_cell_names_its_first_row(self, tmp_path, cell, error, message):
+        path = write(tmp_path, "poll.csv",
+                     f"topic,stance,percent,total\nt,a,{cell},10\nu,a,{cell},10\n")
+        with pytest.raises(error) as info:
+            load_poll_topline(path)
+        assert str(info.value) == (
+            f"{message} in row {{'topic': 't', 'stance': 'a', 'percent': '{cell}', 'total': '10'}}")
 
     def test_multiple_topics_in_file_order(self, tmp_path):
         path = write(tmp_path, "poll.csv",
@@ -591,6 +612,24 @@ class TestSmallLoaders:
         with pytest.raises(MalformedRow, match="^topic 't' carries conflicting importance ratings$"):
             load_quadrant_topics(path)
 
+    def test_quadrant_rating_texts_that_read_alike_agree(self, tmp_path):
+        path = write(tmp_path, "quad.csv", "topic,stance,count,importance\n"
+                     "t,a,1,7\nt,b,1,7.0\nu,a,1,7\nt,c,1,7\nt,d,1, 7e0\n")
+        (_, t, rating), (_, _, other) = load_quadrant_topics(path)
+        assert t.counts == (0, 1, 1, 1, 1) and rating == other == 7.0
+
+    @pytest.mark.parametrize("later, message", [
+        ("x", "^importance 'x' is not a number in row .*'stance': 'c'"),
+        ("inf", "^importance 'inf' is not finite in row .*'stance': 'c'"),
+        ("", "^topic 't' carries conflicting importance ratings$"),
+        ("8", "^topic 't' carries conflicting importance ratings$"),
+    ])
+    def test_quadrant_bad_later_rating_text(self, tmp_path, later, message):
+        path = write(tmp_path, "quad.csv", "topic,stance,count,importance\n"
+                     f"t,a,1,7\nt,b,1,7\nu,a,1,7\nt,c,1,{later}\n")
+        with pytest.raises(MalformedRow, match=message):
+            load_quadrant_topics(path)
+
     def test_quadrant_non_numeric_importance(self, tmp_path):
         path = write(tmp_path, "quad.csv",
                      "topic,stance,count,importance\nt,a,1,high\nt,b,1,high\n")
@@ -656,11 +695,13 @@ def stance_tables(draw):
     return table
 
 
-@settings(max_examples=200, deadline=None)
-@given(stance_tables())
-def test_shared_spaces_match_per_topic_reference(tmp_path_factory, table):
-    work = tmp_path_factory.mktemp("tables")
-    rows = [f"{topic},{sid},{c}" for topic, stances in table.items() for sid, c in stances.items()]
+def check_grouped_loads(work, table, rows):
+    """Each grouped loader on ``rows``, the ``topic,stance,count`` cells of
+    ``table`` in some order, gives the per-topic reference; ``table`` lists
+    its topics, and each topic its stances, in order of first appearance."""
+    # the same rows as regional votes: one space of every option, in file order
+    options = list(dict.fromkeys(sid for _, sid, _ in rows if sid != NO_STANCE))
+    rows = [f"{topic},{sid},{c}" for topic, sid, c in rows]
     poll = write(work, "p.csv", "topic,stance,count\n" + "".join(f"{r}\n" for r in rows))
     quad = write(work, "q.csv", "topic,stance,count,importance\n" + "".join(f"{r},5\n" for r in rows))
     expected = [(topic, _reference_exclusive_counts(stances)) for topic, stances in table.items()]
@@ -668,9 +709,7 @@ def test_shared_spaces_match_per_topic_reference(tmp_path_factory, table):
     for loaded in (load_poll_topline(poll), quadrant):
         assert loaded == expected
         assert repr(loaded) == repr(expected)
-    # the same rows as regional votes: one space of every option, in file order
     votes = write(work, "v.csv", "region,option,count\n" + "".join(f"{r}\n" for r in rows))
-    options = list(dict.fromkeys(sid for stances in table.values() for sid in stances if sid != NO_STANCE))
     space = StanceSpace.exclusive(options)
     regions = [RegionRow(region, StanceCounts.from_mapping(
         space, {sid: stances.get(sid, 0) for sid in options}, no_stance=stances.get(NO_STANCE, 0)))
@@ -679,6 +718,75 @@ def test_shared_spaces_match_per_topic_reference(tmp_path_factory, table):
     loaded_rows = load_vote_records(votes).rows
     assert loaded_rows == expected_rows
     assert repr(loaded_rows) == repr(expected_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stance_tables())
+def test_shared_spaces_match_per_topic_reference(tmp_path_factory, table):
+    rows = [(topic, sid, c) for topic, stances in table.items() for sid, c in stances.items()]
+    check_grouped_loads(tmp_path_factory.mktemp("tables"), table, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stance_tables(), st.data())
+def test_split_topics_match_per_topic_reference(tmp_path_factory, table, data):
+    """The rows in a drawn order: a topic's rows may be split by another
+    topic's, with its __none__ row on either side of a split, and the
+    topics and their stances come out in order of first appearance."""
+    rows = data.draw(st.permutations(
+        [(topic, sid, c) for topic, stances in table.items() for sid, c in stances.items()]))
+    first_seen = {}
+    for topic, sid, c in rows:
+        first_seen.setdefault(topic, {})[sid] = c
+    check_grouped_loads(tmp_path_factory.mktemp("tables"), first_seen, rows)
+
+
+# a topic split by another, and the row that comes back to it
+SPLIT_TOPICS = {
+    "explicit-repeated": ("t,s,3\nt,__none__,0\nu,s,4\nt,s,5", "t/s appears twice"),
+    "zero-none-repeated": ("t,s,3\nt,__none__,0\nu,s,4\nt,__none__,5", "t/__none__ appears twice"),
+    "none-repeated": ("t,__none__,2\nt,s,3\nu,s,4\nt,__none__,5", "t/__none__ appears twice"),
+    "none-after-split": ("t,s,3\nu,s,4\nt,__none__,0\nt,r,1", None),
+    "zero-explicit": ("t,s,0\nu,s,4\nt,__none__,0\nu,__none__,1", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_TOPICS))
+@pytest.mark.parametrize("loader", ["poll", "quadrant"])
+def test_split_topic_is_reopened(tmp_path, loader, case):
+    body, duplicate = SPLIT_TOPICS[case]
+    load, header, tail = GROUPED_LOADERS[loader]
+    path = write(tmp_path, "in.csv", header + "\n" + "".join(f"{r}{tail}\n" for r in body.split("\n")))
+    if duplicate:
+        with pytest.raises(DuplicateStanceRow, match=f"^{duplicate}$"):
+            load(path)
+        return
+    first_seen = {}
+    for row in body.split("\n"):
+        topic, sid, c = row.split(",")
+        first_seen.setdefault(topic, {})[sid] = int(c)
+    loaded = [(topic, counts) for topic, counts, *_ in load(path)]
+    assert loaded == [(t, _reference_exclusive_counts(s)) for t, s in first_seen.items()]
+
+
+@pytest.mark.parametrize("loader", ["poll", "quadrant"])
+def test_topics_split_on_every_row_close_at_most_twice(tmp_path, monkeypatch, loader):
+    """A stance-major file, each row naming another topic than the row
+    before: a reopened topic stays open, so each topic is closed once when
+    first left and once when the file ends, not once per row."""
+    load, header, tail = GROUPED_LOADERS[loader]
+    topics, stances = [f"t{i}" for i in range(30)], [f"s{j}" for j in range(20)]
+    rows = "".join(f"{t},{s},{i + j}{tail}\n" for j, s in enumerate(stances)
+                   for i, t in enumerate(topics))
+    closes = []
+    close = contention.ingest._exclusive_counts
+    monkeypatch.setattr(contention.ingest, "_exclusive_counts",
+                        lambda stances, spaces: closes.append(1) or close(stances, spaces))
+    path = write(tmp_path, "in.csv", f"{header}\n{rows}")
+    loaded = [(topic, counts) for topic, counts, *_ in load(path)]
+    assert loaded == [(t, _reference_exclusive_counts({s: i + j for j, s in enumerate(stances)}))
+                      for i, t in enumerate(topics)]
+    assert len(closes) == 2 * len(topics)
 
 
 # every grouped CSV loader: header, the row with the good stance, and what each
