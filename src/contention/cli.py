@@ -118,13 +118,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    notes = {"epilog": _SCHEMA_NOTES, "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = _Parser(
         prog="contention",
         description="Population-dependent contention over polls, votes, and tweet streams.",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **notes,
     )
     sub = parser.add_subparsers(dest="cmd", metavar="{poll,votes,tweets,quadrant}")
+
+    def command(name: str, summary: str, description: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, description=description, **notes)
 
     def option(p: argparse.ArgumentParser, key: str, **kwargs: Any) -> None:
         parse = _OPTIONS[key][1]
@@ -150,20 +153,14 @@ def build_parser() -> _Parser:
                         "instead of the closed form")
             option(p, "seed", help="RNG seed for --samples (default: 0)")
 
-    p_poll = sub.add_parser(
-        "poll", help="contention per poll topic",
-        description="Compute contention for each topic in a poll topline CSV.",
-        epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_poll = command("poll", "contention per poll topic",
+                     "Compute contention for each topic in a poll topline CSV.")
     p_poll.add_argument("input", help="poll topline CSV")
     shared(p_poll, sampled=True)
 
-    p_votes = sub.add_parser(
-        "votes", help="contention per voting region",
-        description="Compute contention per region (plus the __all__ aggregate) "
-                    "from vote records.",
-        epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_votes = command("votes", "contention per voting region",
+                      "Compute contention per region (plus the __all__ aggregate) "
+                      "from vote records.")
     p_votes.add_argument("input", help="vote records CSV")
     option(p_votes, "turnout",
            help="ballots: no-stance = rejected/__none__ ballots; "
@@ -171,13 +168,10 @@ def build_parser() -> _Parser:
                 "votes (default: ballots)")
     shared(p_votes, sampled=True)
 
-    p_tweets = sub.add_parser(
-        "tweets", help="daily contention timeseries from tweet shards",
-        description="Tag tweets against a stance hashtag lexicon and emit the "
-                    "daily contention timeseries (all-tweets and stance-holders "
-                    "variants).  A summary block goes to stderr.",
-        epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_tweets = command("tweets", "daily contention timeseries from tweet shards",
+                       "Tag tweets against a stance hashtag lexicon and emit the "
+                       "daily contention timeseries (all-tweets and stance-holders "
+                       "variants).  A summary block goes to stderr.")
     p_tweets.add_argument("inputs", nargs="+", metavar="shard.jsonl",
                           help="one or more JSONL tweet shards")
     option(p_tweets, "lexicon", help="stance lexicon JSON (required)")
@@ -191,12 +185,9 @@ def build_parser() -> _Parser:
            help="max tolerated fraction of unparseable lines (default: 0.001)")
     shared(p_tweets)
 
-    p_quad = sub.add_parser(
-        "quadrant", help="contention-vs-importance points",
-        description="Place topics on the contention x importance plane; importance "
-                    "is rescaled linearly from the declared source scale to [0,1].",
-        epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_quad = command("quadrant", "contention-vs-importance points",
+                     "Place topics on the contention x importance plane; importance "
+                     "is rescaled linearly from the declared source scale to [0,1].")
     p_quad.add_argument("input", help="quadrant topics CSV")
     option(p_quad, "importance_scale", nargs=2, metavar=("LO", "HI"),
            help="bounds of the source's importance rating scale (required; e.g. 0 10)")
@@ -322,8 +313,7 @@ def _score_records(key: str, rows: Iterable[tuple]) -> Iterator[dict[str, Any]]:
     return (dict(zip(keys, row)) for row in rows)
 
 
-def cmd_poll(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def cmd_poll(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     topics = ingest.load_poll_topline(args.input)
     topics.reverse()
     rows = []
@@ -334,16 +324,14 @@ def cmd_poll(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def cmd_votes(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def cmd_votes(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     table = ingest.load_vote_records(args.input, cfg["turnout"])
     scored = analytics.region_contention(table, score=lambda counts: _score(counts, cfg))
     _write_records(_score_records("region", [_score_row(*pair) for pair in scored]), cfg)
     return EX_OK
 
 
-def cmd_tweets(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def cmd_tweets(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     if not cfg["lexicon"]:
         raise _UsageError("tweets requires --lexicon")
     lexicon = ingest.StanceLexicon.from_json(cfg["lexicon"])
@@ -371,8 +359,7 @@ def cmd_tweets(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def cmd_quadrant(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def cmd_quadrant(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     if not cfg["importance_scale"]:
         raise _UsageError("quadrant requires --importance-scale LO HI")
     rows = ingest.load_quadrant_topics(args.input)
@@ -381,7 +368,7 @@ def cmd_quadrant(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace, Mapping[str, Any]], int]] = {
     "poll": cmd_poll,
     "votes": cmd_votes,
     "tweets": cmd_tweets,
@@ -395,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.cmd:
         parser.error("a subcommand is required")
     try:
-        return _COMMANDS[args.cmd](args)
+        return _COMMANDS[args.cmd](args, _effective(args))
     except _UsageError as exc:
         parser.error(str(exc))
         return EX_USAGE  # unreachable; parser.error exits

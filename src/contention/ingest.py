@@ -35,12 +35,12 @@ Poll, vote and quadrant rows are grouped by topic (region) and stance
 (key, stance) pair is malformed.  Each loader builds one StanceSpace per
 distinct ordered list of explicit stances and shares it among the topics
 (regions) that list them, and holds each distinct stance id once, as one
-string object, however many rows repeat it.  The poll and quadrant loaders
-hold the open topic's rows in a dict and each finished topic as its one
-StanceCounts, about one int per row, when each topic's rows come
-together.  A later row of a finished topic reopens it, and a reopened
-topic stays a dict until the file ends.  The vote loader keeps every
-region's rows, as its one space needs every option.
+string object, however many rows repeat it.  Each loader holds the open
+topic's rows in a dict and each finished topic as its one StanceCounts,
+about one int per row, when each topic's rows come together.  A later row
+of a finished topic reopens it, and a reopened topic stays a dict until
+the file ends.  The vote loader then rebuilds each region's counts over
+its one space of every option.
 """
 
 from __future__ import annotations
@@ -384,29 +384,29 @@ def _read_grouped(
     path: str | Path,
     key: str,
     stance: str,
-    parser: Callable[[list[str]], Callable[[str, str, list[str]], V]],
+    parser: Callable[[list[str]], Callable[[str, str, list[str]], int]],
     values: Sequence[str] = (),
     optional: Sequence[str] = (),
-    spaces: dict[tuple[str, ...], StanceSpace] | None = None,
-) -> dict[str, dict[str, V] | StanceCounts]:
+) -> dict[str, StanceCounts]:
     """Rows grouped by their ``key`` cell, then by their ``stance`` cell, in
-    file order.  ``parser`` is given the header and returns the function
-    that turns a row's key, stance and fields into its value as it is read.
+    file order, each group as its StanceCounts (``_exclusive_counts``).
+    ``parser`` is given the header and returns the function that turns a
+    row's key, stance and fields into its count as it is read.
 
     The header must also name the ``values`` columns (see
     ``_read_csv_rows`` for ``optional``).  A row with an empty key or
     stance, or a (key, stance) pair seen before, is malformed.
 
-    With ``spaces``, a group becomes its StanceCounts (``_exclusive_counts``)
-    once a row names another group.  A later row of it reopens it, and a
-    reopened group stays open until the file ends, so each group is closed
-    at most twice however often its rows are split.
+    A group is closed once a row names another group.  A later row of it
+    reopens it, and a reopened group stays open until the file ends, so
+    each group is closed at most twice however often its rows are split.
     """
     rows = _read_csv_rows(path, (key, stance, *values), optional)
     header = next(rows)
     at_key, at_stance = header.index(key), header.index(stance)
     parse = parser(header)
-    groups: dict[str, dict[str, V] | StanceCounts] = {}
+    groups: dict[str, dict[str, int] | StanceCounts] = {}
+    spaces: dict[tuple[str, ...], StanceSpace] = {}
     # a reopened group stays open until the file ends: only a new one closes
     group_now, bucket, closes = None, {}, False
     # closed groups whose __none__ row holds 0, the one row their counts lose
@@ -425,7 +425,7 @@ def _read_grouped(
                     zero_none.add(group_now)
                 groups[group_now] = _exclusive_counts(bucket, spaces)
             group_now, bucket = group, groups.get(group)
-            closes = bucket is None and spaces is not None
+            closes = bucket is None
             if bucket is None:
                 bucket = groups[group] = {}
             elif isinstance(bucket, StanceCounts):  # reopen a closed group from its counts
@@ -438,10 +438,9 @@ def _read_grouped(
         bucket[sid] = parse(group, sid, fields)
     if not groups:
         raise EmptyInput(f"{path}: no data rows")
-    if spaces is not None:
-        for group, bucket in groups.items():
-            if not isinstance(bucket, StanceCounts):
-                groups[group] = _exclusive_counts(bucket, spaces)
+    for group, bucket in groups.items():
+        if not isinstance(bucket, StanceCounts):
+            groups[group] = _exclusive_counts(bucket, spaces)
     return groups
 
 
@@ -563,7 +562,7 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
         return parse_percent
 
     return list(_read_grouped(path, "topic", "stance", parser,
-                              optional=("count", "percent", "total"), spaces={}).items())
+                              optional=("count", "percent", "total")).items())
 
 
 def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable:
@@ -595,8 +594,9 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
     per_region = _read_grouped(path, "region", "option", parser, ("count",))
     space = StanceSpace.exclusive(list(options))
     table_rows = []
-    for region, bucket in per_region.items():
-        ballots = bucket.get(REJECTED, 0) + bucket.get(NO_STANCE, 0)
+    for region, closed in per_region.items():
+        bucket = dict(zip(closed.space.ids, closed.explicit))
+        ballots = bucket.get(REJECTED, 0) + closed.no_stance
         counts = StanceCounts(space, (ballots, *(bucket.get(sid, 0) for sid in options)))
         eligible = bucket.get(ELIGIBLE)
         if eligible is not None:
@@ -645,7 +645,7 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
 
         return parse
 
-    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",), {})
+    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",))
     return [(topic, counts, ratings[topic]) for topic, counts in topics.items()]
 
 
@@ -666,62 +666,6 @@ def _importance(text: str, header: Sequence[str], fields: Sequence[str]) -> floa
 
 # -- daily tweet counting ------------------------------------------------------------
 
-class _DayAccumulator:
-    """Streaming per-day stance tally; the order tweets arrive in does not
-    change it."""
-
-    def __init__(self, lexicon: StanceLexicon, by_user: bool) -> None:
-        self.lexicon = lexicon
-        self.by_user = by_user
-        # tweets per day and stance id, None counting the untagged; every
-        # day seen is a key, in both modes
-        self.day_counts: dict[date, dict[str | None, int]] = defaultdict(lambda: defaultdict(int))
-        # by user: each tagged user's one stance id, None once they tag a
-        # second stance, and the users tagged on each day
-        self.user_stance: dict[str, str | None] = {}
-        self.day_users: dict[date, set[str]] = defaultdict(set)
-
-    def add_all(self, tweets: Iterable[tuple[date, str, Iterable[object]]]) -> None:
-        """Tally ``(utc_day, user, hashtags)`` tweets."""
-        index, by_user, day_counts = self.lexicon.tag_index(), self.by_user, self.day_counts
-        user_stance, day_users = self.user_stance, self.day_users
-        for day, user, hashtags in tweets:
-            stance = _stance_for(hashtags, index)
-            day_counts[day][stance] += 1
-            if stance is not None and by_user:
-                if user_stance.setdefault(user, stance) != stance:
-                    user_stance[user] = None
-                day_users[day].add(user)
-
-    def tagged(self) -> dict[str, int]:
-        """Tagged tweets per stance id over every day; stances never tagged
-        are absent."""
-        out = sum(map(Counter, self.day_counts.values()), Counter())
-        out.pop(None, None)
-        return dict(out)
-
-    def finish(self, totals: Mapping[date, int] | None) -> DailySeries:
-        space = self.lexicon.space()
-        days = []
-        for day in sorted(set(self.day_counts).union(totals or ())):
-            if self.by_user:
-                # a user who ever tweets conflicting stances in the window
-                # is excluded from every group
-                bucket = Counter(map(self.user_stance.__getitem__, self.day_users.get(day, ())))
-            else:
-                bucket = self.day_counts.get(day, {})
-            explicit = {sid: bucket.get(sid, 0) for sid in space.ids}
-            tagged_sum = sum(explicit.values())
-            total = totals.get(day) if totals else None
-            if total is not None and total < tagged_sum:
-                raise TotalLessThanStanceCounts(
-                    f"{day}: day total {total} < {tagged_sum} stance-tagged")
-            g0 = 0 if total is None else total - tagged_sum
-            counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
-            days.append(DaySlice(day, counts, has_total=total is not None))
-        return DailySeries(self.lexicon.topic, tuple(days))
-
-
 def ingest_tweets(
     paths: Sequence[str | Path],
     lexicon: StanceLexicon,
@@ -733,19 +677,51 @@ def ingest_tweets(
     """Read one or more JSONL shards into a DailySeries plus stream stats.
 
     The shards are read in the given order, in one pass, into one tally;
-    the result does not depend on that order.  Lines that fail to parse
-    are skipped and counted; when they exceed ``error_budget`` as a
-    fraction of all lines, the whole run fails.  ``by_user`` counts each
-    day's distinct tagged users instead of tweets, keeping one stance id
-    per user (cleared once they tag a second stance, which drops them from
-    every day) and one set of users per day.
+    neither that order nor the order of the tweets in a shard changes it.
+    Lines that fail to parse are skipped and counted; when they exceed
+    ``error_budget`` as a fraction of all lines, the whole run fails.
+    ``by_user`` counts each day's distinct tagged users instead of tweets,
+    keeping one stance id per user (cleared once they tag a second stance,
+    which drops them from every day) and one set of users per day.
     """
-    acc = _DayAccumulator(lexicon, by_user)
+    index, space = lexicon.tag_index(), lexicon.space()
+    # tweets per day and stance id, None counting the untagged; every day
+    # seen is a key, in both modes
+    day_counts: dict[date, dict[str | None, int]] = defaultdict(lambda: defaultdict(int))
+    # by user: each tagged user's one stance id, None once they tag a
+    # second stance, and the users tagged on each day
+    user_stance: dict[str, str | None] = {}
+    day_users: dict[date, set[str]] = defaultdict(set)
     stats = StreamStats()
     for path in paths:
-        acc.add_all(iter_tweet_stream(path, stats))
+        for day, user, hashtags in iter_tweet_stream(path, stats):
+            stance = _stance_for(hashtags, index)
+            day_counts[day][stance] += 1
+            if stance is not None and by_user:
+                if user_stance.setdefault(user, stance) != stance:
+                    user_stance[user] = None
+                day_users[day].add(user)
     if stats.lines and stats.parse_errors / stats.lines > error_budget:
         raise ErrorBudgetExceeded(f"{stats.parse_errors}/{stats.lines} lines unparseable "
                                   f"(budget {error_budget:.4%})")
-    stats.tagged = acc.tagged()
-    return acc.finish(totals), stats
+    tagged = sum(map(Counter, day_counts.values()), Counter())
+    tagged.pop(None, None)
+    stats.tagged = dict(tagged)
+    days = []
+    for day in sorted(set(day_counts).union(totals or ())):
+        if by_user:
+            # a user who ever tweets conflicting stances in the window is
+            # excluded from every group
+            bucket = Counter(map(user_stance.__getitem__, day_users.get(day, ())))
+        else:
+            bucket = day_counts.get(day, {})
+        explicit = {sid: bucket.get(sid, 0) for sid in space.ids}
+        tagged_sum = sum(explicit.values())
+        total = totals.get(day) if totals else None
+        if total is not None and total < tagged_sum:
+            raise TotalLessThanStanceCounts(
+                f"{day}: day total {total} < {tagged_sum} stance-tagged")
+        g0 = 0 if total is None else total - tagged_sum
+        counts = StanceCounts.from_mapping(space, explicit, no_stance=g0)
+        days.append(DaySlice(day, counts, has_total=total is not None))
+    return DailySeries(lexicon.topic, tuple(days)), stats

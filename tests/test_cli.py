@@ -284,6 +284,17 @@ class TestVotesCommand:
         rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
         assert rows["us"][4] == "0.89"
 
+    def test_split_region_is_scored_whole(self, tmp_path, capsys):
+        # us's rows come on both sides of uk's, its __eligible__ row after them
+        us = ["us,clinton,65853514", "us,trump,62984828"]
+        uk = ["uk,clinton,10", "uk,trump,20", "uk,__eligible__,50"]
+        us_rest = ["us,__none__,7830934", "us,__eligible__,230585915"]
+        split = write(tmp_path, "split.csv", "\n".join(["region,option,count", *us, *uk, *us_rest]))
+        whole = write(tmp_path, "whole.csv", "\n".join(["region,option,count", *us, *us_rest, *uk]))
+        code, out, _ = run_cli(["votes", split, "--turnout", "eligible"], capsys)
+        assert (code, out) == (0, run_cli(["votes", whole, "--turnout", "eligible"], capsys)[1])
+        assert "us,230585915,2,0.156020,0.312039" in out.splitlines()
+
     def test_unknown_flag_is_usage_error(self, brexit_votes_csv, capsys):
         code, _, _ = run_cli(["votes", brexit_votes_csv, "--definitely-not-a-flag"], capsys)
         assert code == EX_USAGE

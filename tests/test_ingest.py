@@ -751,8 +751,12 @@ SPLIT_TOPICS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SPLIT_TOPICS))
-@pytest.mark.parametrize("loader", ["poll", "quadrant"])
+# votes builds one space of every option, so only its duplicates match the
+# per-topic reference
+@pytest.mark.parametrize("loader, case", [
+    *((loader, case) for loader in ("poll", "quadrant") for case in sorted(SPLIT_TOPICS)),
+    *(("votes", case) for case in sorted(SPLIT_TOPICS) if SPLIT_TOPICS[case][1]),
+])
 def test_split_topic_is_reopened(tmp_path, loader, case):
     body, duplicate = SPLIT_TOPICS[case]
     load, header, tail = GROUPED_LOADERS[loader]
@@ -765,16 +769,17 @@ def test_split_topic_is_reopened(tmp_path, loader, case):
     for row in body.split("\n"):
         topic, sid, c = row.split(",")
         first_seen.setdefault(topic, {})[sid] = int(c)
-    loaded = [(topic, counts) for topic, counts, *_ in load(path)]
+    loaded = grouped_counts(loader, path)
     assert loaded == [(t, _reference_exclusive_counts(s)) for t, s in first_seen.items()]
 
 
-@pytest.mark.parametrize("loader", ["poll", "quadrant"])
+@pytest.mark.parametrize("loader", ["poll", "quadrant", "votes"])
 def test_topics_split_on_every_row_close_at_most_twice(tmp_path, monkeypatch, loader):
     """A stance-major file, each row naming another topic than the row
     before: a reopened topic stays open, so each topic is closed once when
-    first left and once when the file ends, not once per row."""
-    load, header, tail = GROUPED_LOADERS[loader]
+    first left and once when the file ends, not once per row.  Every topic
+    lists every stance, so the vote table's one space is each topic's."""
+    _, header, tail = GROUPED_LOADERS[loader]
     topics, stances = [f"t{i}" for i in range(30)], [f"s{j}" for j in range(20)]
     rows = "".join(f"{t},{s},{i + j}{tail}\n" for j, s in enumerate(stances)
                    for i, t in enumerate(topics))
@@ -783,7 +788,7 @@ def test_topics_split_on_every_row_close_at_most_twice(tmp_path, monkeypatch, lo
     monkeypatch.setattr(contention.ingest, "_exclusive_counts",
                         lambda stances, spaces: closes.append(1) or close(stances, spaces))
     path = write(tmp_path, "in.csv", f"{header}\n{rows}")
-    loaded = [(topic, counts) for topic, counts, *_ in load(path)]
+    loaded = grouped_counts(loader, path)
     assert loaded == [(t, _reference_exclusive_counts({s: i + j for j, s in enumerate(stances)}))
                       for i, t in enumerate(topics)]
     assert len(closes) == 2 * len(topics)
@@ -796,6 +801,17 @@ GROUPED_LOADERS = {
     "quadrant": (load_quadrant_topics, "topic,stance,count,importance", ",5"),
     "votes": (load_vote_records, "region,option,count", ""),
 }
+
+
+def grouped_counts(loader, path):
+    """A grouped loader's (topic or region, counts) pairs in file order; a
+    vote table's ``__all__`` row is left out."""
+    load = GROUPED_LOADERS[loader][0]
+    if loader == "votes":
+        return [(row.region, row.counts) for row in load(path).rows if row.region != ALL_REGIONS]
+    return [(topic, counts) for topic, counts, *_ in load(path)]
+
+
 BAD_ROWS = {
     "empty-key": ",a,1{tail}",
     "empty-stance": "t,,1{tail}",
@@ -824,12 +840,15 @@ def test_grouped_rows_hold_each_stance_id_once(tmp_path, loader):
     rows = [("t1", "leave"), ("t1", "remain"), ("t2", "remain"), ("t2", "leave")]
     path = write(tmp_path, "in.csv",
                  "".join(f"{line}\n" for line in [header, *(f"{g},{s},1{tail}" for g, s in rows)]))
-    groups = _read_grouped(path, key, stance, lambda header: lambda group, sid, fields: sid)
-    first, second = groups["t1"], groups["t2"]
-    assert list(first) == ["leave", "remain"] and list(second) == ["remain", "leave"]
-    for sid, parsed in first.items():
+    received = []
+    groups = _read_grouped(path, key, stance,
+                           lambda header: lambda group, sid, fields: received.append(sid) or 1)
+    first, second = groups["t1"].space.ids, groups["t2"].space.ids
+    assert first == ("leave", "remain") and second == ("remain", "leave")
+    assert received == [sid for _, sid in rows]
+    for sid in first:
         [held] = [other for other in second if other == sid]
-        assert held is sid and parsed is sid and second[held] is sid
+        assert held is sid and all(parsed is sid for parsed in received if parsed == sid)
     if loader != "votes":  # every region of a vote table shares one space
         (_, a, *_), (_, b, *_) = load(path)
         assert a.space is not b.space and a.space.ids == b.space.ids[::-1]
