@@ -351,9 +351,7 @@ def cmd_tweets(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     error_pct = 100.0 * stats.parse_errors / stats.lines if stats.lines else 0.0
     print(f"# tweets: {stats.parsed} parsed, {stats.parse_errors} parse errors "
           f"({error_pct:.2f}%)", file=sys.stderr)
-    tagged = " ".join(
-        f"{s.id}={stats.tagged.get(s.id, 0)}" for s in lexicon.stances
-    )
+    tagged = " ".join(f"{sid}={stats.tagged.get(sid, 0)}" for sid in lexicon.space.ids)
     print(f"# tagged: {tagged}", file=sys.stderr)
     print(f"# days: {len(series.days)}", file=sys.stderr)
     return EX_OK

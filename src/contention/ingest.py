@@ -94,39 +94,22 @@ def normalize_hashtag(tag: str) -> str:
 # -- stance lexicons and tweets ------------------------------------------------
 
 @dataclass(frozen=True)
-class LexiconStance:
-    id: str
-    label: str
-    hashtags: frozenset[str]
-
-
-@dataclass(frozen=True)
 class StanceLexicon:
-    """Per-stance hashtag lists for one topic; each hashtag maps to one stance.
-
-    The stance ids are checked once, here, by building the lexicon's one
-    exclusive StanceSpace; a bad id or a hashtag under two stances raises
-    ValueError, which ``from_json`` reports as a MalformedRow."""
+    """One topic's exclusive StanceSpace and read-only tag index, from each
+    normalized hashtag to its one stance id.  A space that is not exclusive,
+    or an index naming an id outside it, raises ValueError; ``from_json``
+    reports a bad id or a hashtag under two stances as a MalformedRow."""
 
     topic: str
-    stances: tuple[LexiconStance, ...]
-    _index: Mapping[str, str] = field(init=False, repr=False, compare=False)
-    _space: StanceSpace = field(init=False, repr=False, compare=False)
+    space: StanceSpace
+    tag_index: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self) -> None:
-        space = StanceSpace.exclusive(
-            [s.id for s in self.stances], {s.id: s.label for s in self.stances}
-        )
-        object.__setattr__(self, "_space", space)
-        seen: dict[str, str] = {}
-        for stance in self.stances:
-            for tag in stance.hashtags:
-                if tag in seen and seen[tag] != stance.id:
-                    raise ValueError(
-                        f"hashtag #{tag} appears under both {seen[tag]!r} and {stance.id!r}"
-                    )
-                seen[tag] = stance.id
-        object.__setattr__(self, "_index", MappingProxyType(seen))
+        if not self.space.is_exclusive():
+            raise ValueError("a lexicon's stances must be mutually exclusive")
+        if not set(self.tag_index.values()).issubset(self.space.ids):
+            raise ValueError("a lexicon's tag index names a stance outside its space")
+        object.__setattr__(self, "tag_index", MappingProxyType(dict(self.tag_index)))
 
     @classmethod
     def from_json(cls, path: str | Path) -> StanceLexicon:
@@ -135,27 +118,29 @@ class StanceLexicon:
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedRow(f"cannot read lexicon {path}: {exc}") from exc
         try:
-            stances = []
+            labels, entries = {}, []
             for entry in doc["stances"]:
                 sid, tags = entry["id"], entry["hashtags"]
                 if not isinstance(sid, str):
                     raise TypeError(f"stance id must be a JSON string, got {sid!r}")
                 if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                     raise TypeError(f"hashtags must be a JSON array of strings, got {tags!r}")
-                label = str(entry.get("label") or sid)
-                stances.append(LexiconStance(sid, label, frozenset(map(normalize_hashtag, tags))))
-            return cls(str(doc["topic"]), tuple(stances))
+                labels[sid] = str(entry.get("label") or sid)
+                entries.append((sid, tags))
+            topic = str(doc["topic"])
+            space = StanceSpace.exclusive([sid for sid, _ in entries], labels)
+            index: dict[str, str] = {}
+            for sid, tags in entries:
+                for tag in map(normalize_hashtag, tags):
+                    if index.setdefault(tag, sid) != sid:
+                        raise ValueError(
+                            f"hashtag #{tag} appears under both {index[tag]!r} and {sid!r}"
+                        )
+            return cls(topic, space, index)
         except KeyError as exc:
             raise MalformedRow(f"lexicon {path}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise MalformedRow(f"lexicon {path}: {exc}") from exc
-
-    def space(self) -> StanceSpace:
-        return self._space
-
-    def tag_index(self) -> Mapping[str, str]:
-        """Read-only map from normalized hashtag to stance id."""
-        return self._index
 
 
 def _stance_for(hashtags: Iterable[object], index: Mapping[str, str]) -> str | None:
@@ -178,13 +163,16 @@ def _stance_for(hashtags: Iterable[object], index: Mapping[str, str]) -> str | N
 
 @dataclass
 class StreamStats:
-    """Counters from one pass over tweet shards; ``tagged`` counts tweets
-    per stance id."""
+    """Counters from one pass over tweet shards: each counted line is parsed
+    or a parse error, and ``tagged`` counts tweets per stance id."""
 
     lines: int = 0
-    parsed: int = 0
     parse_errors: int = 0
     tagged: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def parsed(self) -> int:
+        return self.lines - self.parse_errors
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -207,7 +195,7 @@ def iter_tweet_stream(
     # raw_decode calls this scanner only to turn its StopIteration into JSONDecodeError
     scan = json.JSONDecoder().scan_once
     utc = timezone.utc
-    lines = parsed = errors = 0
+    lines = errors = 0
     try:
         # surrogateescape turns each byte that is not valid UTF-8 into a lone
         # surrogate U+DC80..U+DCFF, which strict UTF-8 never decodes to, so
@@ -247,11 +235,9 @@ def iter_tweet_stream(
                         RecursionError, MalformedRow):
                     errors += 1
                     continue
-                parsed += 1
                 yield day, user, hashtags
     finally:
         stats.lines += lines
-        stats.parsed += parsed
         stats.parse_errors += errors
 
 
@@ -684,7 +670,7 @@ def ingest_tweets(
     keeping one stance id per user (cleared once they tag a second stance,
     which drops them from every day) and one set of users per day.
     """
-    index, space = lexicon.tag_index(), lexicon.space()
+    index, space = lexicon.tag_index, lexicon.space
     # tweets per day and stance id, None counting the untagged; every day
     # seen is a key, in both modes
     day_counts: dict[date, dict[str | None, int]] = defaultdict(lambda: defaultdict(int))

@@ -25,7 +25,9 @@ matrix is built and checked the first time its k is seen and kept for the
 life of the process: sum((k+1)^2) references over the distinct k a run
 meets, instead of one matrix per space.  A space skips its own matrix
 check only when it holds that very object; any other matrix, even an
-equal one, is checked in full.
+equal one, is checked in full.  A space is exclusive when its matrix is
+the memo's matrix for its k or equals it, so a copied or unpickled space
+stays exclusive.
 
 The table loaders share spaces: within one load, every topic that lists
 the same explicit stances in the same order holds one ``StanceSpace``.
@@ -95,14 +97,12 @@ class _StanceIndex(dict):
 
 def _checked_conflicts(
     conflicts: Iterable[Iterable[object]], size: int
-) -> tuple[tuple[tuple[bool, ...], ...], bool]:
+) -> tuple[tuple[bool, ...], ...]:
     """``conflicts`` as a size x size tuple of bools, checked for a zero
-    diagonal, a conflict-free sentinel and symmetry; also whether it is
-    exactly the mutually-exclusive pattern."""
+    diagonal, a conflict-free sentinel and symmetry."""
     matrix = tuple(tuple(map(bool, row)) for row in conflicts)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError(f"conflict matrix must be {size}x{size} (index 0 = no stance)")
-    exclusive = True
     for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
         if row[i]:
             raise ValueError("a stance cannot conflict with itself")
@@ -114,10 +114,7 @@ def _checked_conflicts(
                 f"conflict matrix is asymmetric at ({i},{j}); "
                 "fix the input instead of relying on symmetrization"
             )
-        # with the row symmetric, explicit stances below the diagonal
-        # must all conflict for the mutually-exclusive pattern
-        exclusive = exclusive and all(row[1:i])
-    return matrix, exclusive
+    return matrix
 
 
 #: k -> the checked all-pairs conflict matrix over k stances and the sentinel
@@ -133,10 +130,7 @@ def _exclusive_matrix(k: int) -> tuple[tuple[bool, ...], ...]:
         rows = ((False,) * (k + 1),) + tuple(
             (False,) + (True,) * (i - 1) + (False,) + (True,) * (k - i) for i in range(1, k + 1)
         )
-        rows, exclusive = _checked_conflicts(rows, k + 1)
-        if not exclusive:
-            raise AssertionError(f"built a non-exclusive matrix for k={k}")
-        matrix = _EXCLUSIVE_MATRICES.setdefault(k, rows)
+        matrix = _EXCLUSIVE_MATRICES.setdefault(k, _checked_conflicts(rows, k + 1))
     return matrix
 
 
@@ -151,20 +145,15 @@ class StanceSpace:
 
     stances: tuple[Stance, ...]
     conflicts: tuple[tuple[bool, ...], ...]
-    _exclusive: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [s.id for s in self.stances]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stance ids: {ids}")
-        shared = _EXCLUSIVE_MATRICES.get(len(ids))
-        if shared is not None and self.conflicts is shared:
-            # the memo's own matrix for this k, checked when it was stored
-            object.__setattr__(self, "_exclusive", True)
-            return
-        matrix, exclusive = _checked_conflicts(self.conflicts, len(ids) + 1)
-        object.__setattr__(self, "conflicts", matrix)
-        object.__setattr__(self, "_exclusive", exclusive)
+        # the memo's own matrix for this k was checked when it was stored
+        if self.conflicts is None or self.conflicts is not _EXCLUSIVE_MATRICES.get(len(ids)):
+            matrix = _checked_conflicts(self.conflicts, len(ids) + 1)
+            object.__setattr__(self, "conflicts", matrix)
 
     @classmethod
     def exclusive(cls, stance_ids: Sequence[str], labels: Mapping[str, str] | None = None) -> StanceSpace:
@@ -217,8 +206,9 @@ class StanceSpace:
         return indices
 
     def is_exclusive(self) -> bool:
-        """True when the matrix is exactly the mutually-exclusive pattern."""
-        return self._exclusive
+        """True when the matrix is the memo's all-pairs matrix for k or equals it."""
+        shared = _exclusive_matrix(self.k)
+        return self.conflicts is shared or self.conflicts == shared
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def tweet_record(obj: object) -> tuple[date, str, set[str]]:
 
 def stance_of(hashtags: set[str], lexicon: StanceLexicon) -> str | None:
     """The stance whose list the hashtags hit, when exactly one list is hit."""
-    index = lexicon.tag_index()
+    index = lexicon.tag_index
     matched = {index[tag] for tag in hashtags if tag in index}
     return matched.pop() if len(matched) == 1 else None
 
@@ -99,7 +99,7 @@ def reference_ingest(paths, lexicon, totals, by_user, error_budget):
     days = []
     for day in sorted({day for day, _, _ in tweets} | set(totals)):
         explicit = []
-        for sid in (s.id for s in lexicon.stances):
+        for sid in lexicon.space.ids:
             holders = [user for d, user, stance in tweets if d == day and stance == sid]
             if by_user:
                 # a user seen under two stances anywhere counts under none

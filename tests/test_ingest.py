@@ -280,19 +280,23 @@ class TestVoteRecords:
 class TestLexiconAndTagging:
     def test_from_json(self, dress_lexicon):
         assert dress_lexicon.topic == "dress"
-        assert dress_lexicon.space().k == 2
+        assert dress_lexicon.space.k == 2
 
     def test_duplicate_hashtag_across_stances(self, tmp_path):
-        bad = {
-            "topic": "t",
-            "stances": [
-                {"id": "a", "label": "a", "hashtags": ["same"]},
-                {"id": "b", "label": "b", "hashtags": ["same"]},
-            ],
-        }
-        path = write(tmp_path, "bad.json", json.dumps(bad))
-        with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: hashtag #same"):
-            StanceLexicon.from_json(path)
+        # the report names the first of b's tags, in file order, that a holds
+        for a_tags, b_tags, reported in [(["same"], ["same"], "same"),
+                                         (["x", "y", "z"], ["#Z", "y", "x"], "z")]:
+            bad = {
+                "topic": "t",
+                "stances": [
+                    {"id": "a", "label": "a", "hashtags": a_tags},
+                    {"id": "b", "label": "b", "hashtags": b_tags},
+                ],
+            }
+            path = write(tmp_path, "bad.json", json.dumps(bad))
+            with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: hashtag "
+                               f"#{reported} appears under both 'a' and 'b'$"):
+                StanceLexicon.from_json(path)
 
     @pytest.mark.parametrize("stances", [
         [{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}],
@@ -344,7 +348,9 @@ class TestLexiconAndTagging:
     def test_from_json_drops_byte_order_mark(self, tmp_path, dress_lexicon):
         path = tmp_path / "bom.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(DRESS_LEXICON).encode())
-        assert StanceLexicon.from_json(path) == dress_lexicon
+        bom = StanceLexicon.from_json(path)
+        assert bom == dress_lexicon and hash(bom) == hash(dress_lexicon)
+        assert {bom, dress_lexicon} == {dress_lexicon}
 
     def test_tag_spelled_in_its_canonical_form_matches(self, tmp_path):
         # case folding turns U+1F8C into U+1F04 U+03B9; NFC applied once
@@ -352,7 +358,7 @@ class TestLexiconAndTagging:
         lexicon = StanceLexicon.from_json(write(tmp_path, "greek.json", json.dumps(
             {"topic": "t", "stances": [{"id": "a", "hashtags": ["\u1f8c\u0301"]},
                                        {"id": "b", "hashtags": ["other"]}]})))
-        assert lexicon.tag_index() == {"\u1f04\u03af": "a", "other": "b"}
+        assert lexicon.tag_index == {"\u1f04\u03af": "a", "other": "b"}
         stream = write(tmp_path, "s.jsonl", "".join(
             json.dumps({"id": str(i), "ts": "2016-01-01T00:00:00Z", "user": "u",
                         "hashtags": [tag]}) + "\n"
@@ -361,11 +367,28 @@ class TestLexiconAndTagging:
         assert stats.tagged == {"a": 3}
 
     def test_tag_index_is_built_once_and_read_only(self, dress_lexicon):
-        index = dress_lexicon.tag_index()
-        assert index is dress_lexicon.tag_index()
-        assert index["negroyazul"] == "black-and-blue"
-        with pytest.raises(TypeError):
-            index["negroyazul"] = "white-and-gold"
+        tags = dict(dress_lexicon.tag_index)
+        direct = StanceLexicon("dress", dress_lexicon.space, tags)
+        tags["negroyazul"] = "white-and-gold"  # the lexicon holds its own copy
+        assert direct == dress_lexicon and hash(direct) == hash(dress_lexicon)
+        for lexicon in (dress_lexicon, direct):
+            index = lexicon.tag_index
+            assert index is lexicon.tag_index
+            assert index["negroyazul"] == "black-and-blue"
+            with pytest.raises(TypeError):
+                index["negroyazul"] = "white-and-gold"
+
+    @pytest.mark.parametrize("space, index, message", [
+        (StanceSpace.exclusive(["a", "b"]), {"yes": "a", "no": "c"}, "outside its space"),
+        (StanceSpace.from_conflict_pairs(["a", "b"], []), {"yes": "a"}, "mutually exclusive"),
+        (StanceSpace.from_conflict_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")]), {},
+         "mutually exclusive"),
+    ], ids=["id-outside-space", "no-conflicts", "some-conflicts"])
+    def test_direct_lexicon_needs_an_exclusive_space_holding_every_indexed_id(
+        self, space, index, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            StanceLexicon("t", space, index)
 
 
 class TestTimestamps:

@@ -1,6 +1,8 @@
 """Core model: spec'd examples with frozen expected values, plus contracts."""
 
+import copy
 import math
+import pickle
 import re
 from dataclasses import fields
 
@@ -416,6 +418,19 @@ class TestSharedExclusiveMatrix:
         assert all(type(c) is bool for row in as_ints.conflicts for c in row)
         assert copy.is_exclusive() and as_ints.is_exclusive()
 
+    @pytest.mark.parametrize("clone", [
+        lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_cloned_space_and_counts_stay_exclusive(self, clone):
+        space = StanceSpace.exclusive(self.ids(3), {"s0": "Zero"})
+        counts = StanceCounts(space, (4, 1, 2, 3))
+        space_clone, counts_clone = clone(space), clone(counts)
+        assert space_clone == space and space_clone.is_exclusive()
+        assert counts_clone.space.is_exclusive()
+        assert contention_exclusive(counts_clone) == contention_exclusive(counts)
+        torn = StanceSpace.from_conflict_pairs(self.ids(3), [("s0", "s1")])
+        assert not clone(torn).is_exclusive()
+
     @pytest.mark.parametrize("flip, message", [
         ((1, 2), "asymmetric"),
         ((2, 2), "itself"),
@@ -444,7 +459,7 @@ class TestSharedExclusiveMatrix:
             StanceSpace(StanceSpace.exclusive(self.ids(3)).stances, two)
 
     def test_fields_equality_hash_and_repr_are_unchanged(self):
-        assert [f.name for f in fields(StanceSpace)] == ["stances", "conflicts", "_exclusive"]
+        assert [f.name for f in fields(StanceSpace)] == ["stances", "conflicts"]
         space = StanceSpace.exclusive(["a", "b"], {"a": "Yes"})
         assert repr(space) == (
             "StanceSpace(stances=(Stance(id='a', label='Yes'), Stance(id='b', label='b')), "

@@ -18,23 +18,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contention.errors import ErrorBudgetExceeded, TotalLessThanStanceCounts
-from contention.ingest import (
-    LexiconStance,
-    StanceLexicon,
-    ingest_tweets,
-    normalize_hashtag,
-)
+from contention.ingest import StanceLexicon, ingest_tweets, normalize_hashtag
+from contention.model import StanceSpace
 from reference import OverBudget, TotalBelowTagged, reference_ingest
 
+TAGS = {
+    "leave": ["voteleave", "Straße"],
+    "remain": ["strongerin", "café"],
+    # the tags true, null and 0 read as "true", "none" and "0"
+    "undecided": ["ΣΊΣΥΦΟΣ", "true", "none", "0"],
+}
 LEXICON = StanceLexicon(
     "referendum",
-    (
-        LexiconStance("leave", "Leave", frozenset(map(normalize_hashtag, ["voteleave", "Straße"]))),
-        LexiconStance("remain", "Remain", frozenset(map(normalize_hashtag, ["strongerin", "café"]))),
-        # the tags true, null and 0 read as "true", "none" and "0"
-        LexiconStance("undecided", "Undecided",
-                      frozenset(map(normalize_hashtag, ["ΣΊΣΥΦΟΣ", "true", "none", "0"]))),
-    ),
+    StanceSpace.exclusive(list(TAGS), {sid: sid.title() for sid in TAGS}),
+    {normalize_hashtag(tag): sid for sid, tags in TAGS.items() for tag in tags},
 )
 
 # Spellings that normalize onto a lexicon tag (case, '#', sharp s, combining
@@ -57,7 +54,7 @@ def product(paths, totals, by_user, error_budget):
         return "over budget"
     except TotalLessThanStanceCounts:
         return "total below tagged"
-    assert all(day.counts.space is LEXICON.space() for day in series.days)
+    assert all(day.counts.space is LEXICON.space for day in series.days)
     days = tuple((day.date, day.counts.counts, day.has_total) for day in series.days)
     return (series.topic, days), (stats.lines, stats.parsed, stats.parse_errors, stats.tagged)
 
