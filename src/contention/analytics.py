@@ -76,7 +76,7 @@ def region_contention(
     return [(r.region, score(r.counts)) for r in sorted(table.rows, key=lambda r: r.region)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadrantPoint:
     """One topic in the contention-vs-importance plane, both axes in [0, 1]."""
 

@@ -313,13 +313,17 @@ def _score_records(key: str, rows: Iterable[tuple]) -> Iterator[dict[str, Any]]:
     return (dict(zip(keys, row)) for row in rows)
 
 
+def _released(items: list[tuple]) -> Iterator[tuple]:
+    """``items`` in order, each popped from the list as it is yielded, so
+    the caller's topic goes as soon as it is scored; the list ends empty."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def cmd_poll(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     topics = ingest.load_poll_topline(args.input)
-    topics.reverse()
-    rows = []
-    while topics:  # pop each topic, so its counts go as soon as it is scored
-        topic, counts = topics.pop()
-        rows.append(_score_row(topic, _score(counts, cfg)))
+    rows = [_score_row(topic, _score(counts, cfg)) for topic, counts in _released(topics)]
     _write_records(_score_records("topic", rows), cfg)
     return EX_OK
 
@@ -360,9 +364,11 @@ def cmd_tweets(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
 def cmd_quadrant(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     if not cfg["importance_scale"]:
         raise _UsageError("quadrant requires --importance-scale LO HI")
-    rows = ingest.load_quadrant_topics(args.input)
-    points = analytics.quadrant_points(rows, cfg["importance_scale"], k_mode=cfg["normalize"])
-    _write_records([vars(p) for p in points], cfg)
+    topics = ingest.load_quadrant_topics(args.input)
+    points = analytics.quadrant_points(_released(topics), cfg["importance_scale"],
+                                       k_mode=cfg["normalize"])
+    _write_records(({"topic": p.topic, "contention": p.contention, "importance": p.importance}
+                    for p in points), cfg)
     return EX_OK
 
 

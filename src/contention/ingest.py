@@ -37,7 +37,8 @@ distinct ordered list of explicit stances and shares it among the topics
 (regions) that list them, and holds each distinct stance id once, as one
 string object, however many rows repeat it.  Each loader holds the open
 topic's rows in a dict and each finished topic as its one StanceCounts,
-about one int per row, when each topic's rows come together.  A later row
+when each topic's rows come together; equal counts within a load share
+one int object, up to a capped memo of distinct values.  A later row
 of a finished topic reopens it, and a reopened topic stays a dict until
 the file ends.  The vote loader then rebuilds each region's counts over
 its one space of every option.
@@ -366,6 +367,10 @@ def _row(header: Sequence[str], fields: Sequence[str]) -> dict:
     return row
 
 
+#: the most distinct count values a table load's memo holds at once
+_SHARED_COUNTS_CAP = 4096
+
+
 def _read_grouped(
     path: str | Path,
     key: str,
@@ -400,6 +405,9 @@ def _read_grouped(
     # csv.reader makes a new string per cell; this keeps the first string of
     # each stance id, so every bucket and space that names it holds that one
     first_of: Callable[[str, str], str] = {}.setdefault
+    # each parsed count is a new int too; this keeps the first of each value,
+    # emptied when full so that counts which never repeat cost no more
+    shared: dict[int, int] = {}
     for fields in rows:
         group, sid = fields[at_key], fields[at_stance]
         sid = first_of(sid, sid)
@@ -421,7 +429,10 @@ def _read_grouped(
                     bucket[NO_STANCE] = counts.no_stance
         if sid in bucket:
             raise DuplicateStanceRow(f"{group}/{sid} appears twice")
-        bucket[sid] = parse(group, sid, fields)
+        count = parse(group, sid, fields)
+        if len(shared) >= _SHARED_COUNTS_CAP:
+            shared.clear()
+        bucket[sid] = shared.setdefault(count, count)
     if not groups:
         raise EmptyInput(f"{path}: no data rows")
     for group, bucket in groups.items():

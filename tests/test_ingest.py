@@ -4,6 +4,7 @@ import csv
 import json
 import random
 import re
+import sys
 from datetime import date
 from fractions import Fraction
 
@@ -876,6 +877,80 @@ def test_grouped_rows_hold_each_stance_id_once(tmp_path, loader):
         (_, a, *_), (_, b, *_) = load(path)
         assert a.space is not b.space and a.space.ids == b.space.ids[::-1]
         assert all(x is y for x, y in zip(a.space.ids, b.space.ids[::-1]))
+
+
+# counts above 256, which CPython does not keep one object of; the percent
+# layout's counts are computed, 50% of 2000 and 25% of 4000 both 1000
+SHARED_COUNT_FILES = {
+    "poll": (load_poll_topline, "topic,stance,count\nt1,a,1000\nt1,b,70000\nt2,x,70000\nt2,y,1000\n"),
+    "percent": (load_poll_topline, "topic,stance,percent,total\nt1,a,50,2000\nt1,b,50,2000\n"
+                                   "t2,x,25,4000\nt2,y,75,4000\n"),
+    "quadrant": (load_quadrant_topics, "topic,stance,count,importance\nt1,a,1000,5\n"
+                                       "t1,b,70000,5\nt2,x,70000,5\nt2,y,1000,5\n"),
+    "votes": (load_vote_records, "region,option,count\nt1,a,1000\nt1,b,70000\n"
+                                 "t2,a,70000\nt2,b,1000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_COUNT_FILES))
+def test_equal_counts_of_one_load_are_one_object(tmp_path, case):
+    load, text = SHARED_COUNT_FILES[case]
+    loaded = load(write(tmp_path, "in.csv", text))
+    if case == "votes":
+        (_, first), (_, second) = [(r.region, r.counts) for r in loaded.rows[:2]]
+    else:
+        (_, first, *_), (_, second, *_) = loaded
+    pairs = [(a, b) for a in first.explicit for b in second.explicit if a == b]
+    assert pairs and all(a is b for a, b in pairs)
+
+
+def shared_memo_sizes(load, path):
+    """Load ``path`` and return the size of ``_read_grouped``'s count memo,
+    its local ``shared``, before each line of that function runs."""
+    sizes = []
+
+    def per_line(frame, event, arg):
+        sizes.append(len(frame.f_locals.get("shared", ())))
+        return per_line
+
+    def per_call(frame, event, arg):
+        return per_line if frame.f_code is _read_grouped.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(per_call)
+    try:
+        loaded = load(path)
+    finally:
+        sys.settrace(previous)
+    return loaded, sizes
+
+
+@pytest.mark.parametrize("loader", sorted(GROUPED_LOADERS))
+def test_shared_count_memo_never_holds_more_than_its_cap(tmp_path, monkeypatch, loader):
+    """With a cap of 8, a file of 300 distinct counts loads to the same
+    counts, and the memo, emptied each time it is full, never holds more."""
+    monkeypatch.setattr(contention.ingest, "_SHARED_COUNTS_CAP", 8)
+    load, header, tail = GROUPED_LOADERS[loader]
+    stances = [f"s{j}" for j in range(3)]
+    table = {f"t{i}": {s: 1000 + 3 * i + j for j, s in enumerate(stances)} for i in range(100)}
+    body = "".join(f"{t},{s},{c}{tail}\n" for t, row in table.items() for s, c in row.items())
+    path = write(tmp_path, "in.csv", f"{header}\n{body}")
+    _, sizes = shared_memo_sizes(load, path)
+    assert max(sizes) == 8
+    assert grouped_counts(loader, path) == [(t, _reference_exclusive_counts(row))
+                                            for t, row in table.items()]
+
+
+def test_shared_count_memo_is_emptied_when_full(tmp_path, monkeypatch):
+    """Cap 4: t2's first 1001 is t1's object, the memo then fills with
+    1004, so t2's second 1001 is a new one, still equal."""
+    monkeypatch.setattr(contention.ingest, "_SHARED_COUNTS_CAP", 4)
+    path = write(tmp_path, "in.csv", "topic,stance,count\nt1,a,1001\nt1,b,1002\nt1,c,1003\n"
+                                     "t2,a,1001\nt2,b,1004\nt2,c,1001\n")
+    [(_, first), (_, second)] = load_poll_topline(path)
+    assert second.explicit == (1001, 1004, 1001)
+    assert second.explicit[0] is first.explicit[0]
+    assert second.explicit[2] is not first.explicit[0]
 
 
 def dictreader_rows(path, required):

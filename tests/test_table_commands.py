@@ -83,6 +83,46 @@ def test_poll_peak_memory_per_row(tmp_path):
     assert (peak_4k - peak_1k) / (rows_4k - rows_1k) <= 50
 
 
+def test_quadrant_peak_memory_per_row(tmp_path):
+    """``quadrant`` shares equal counts within its load and drops each topic
+    once scored, so its traced peak grows by at most 65 bytes per data row
+    from 1000 to 4000 generated topics.  That is about 55 on Python 3.11
+    and 60 on 3.10; it was about 107 when every count was its own int and
+    every topic was held until the last was scored, 69 with the release
+    alone and 77 with the shared counts alone."""
+    out = str(tmp_path / "out.csv")
+
+    def peak(topics):
+        path = tmp_path / f"quadrant{topics}.csv"
+        rows, _ = gen.write_quadrant(gen.rng_for("tables", 1), path, topics)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["quadrant", str(path), "--importance-scale", "0", "10",
+                         "--out", out]) == EX_OK
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # imports and first-use caches are not per row
+    (rows_1k, peak_1k), (rows_4k, peak_4k) = peak(1000), peak(4000)
+    assert (peak_4k - peak_1k) / (rows_4k - rows_1k) <= 65
+
+
+def test_quadrant_last_topic_out_of_range_writes_nothing(tmp_path):
+    """Many good topics are scored and released before the last one fails:
+    exit 2 with one JSON error record, and nothing on stdout."""
+    path = tmp_path / "quadrant.csv"
+    gen.write_quadrant(gen.rng_for("quadrant", 1), path, 500)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("last,a,5,10.5\nlast,b,3,10.5\n")
+    code, out, err = run_main(["quadrant", str(path), "--importance-scale", "0", "10"])
+    assert (code, out) == (EX_DATA, "")
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": "ImportanceOutOfDeclaredRange",
+                                "message": "topic 'last': importance 10.5 outside [0.0, 10.0]"}
+
+
 # -- mutated inputs ----------------------------------------------------------------
 
 FIXTURES = {
