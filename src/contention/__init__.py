@@ -35,7 +35,6 @@ from .model import (
     NO_STANCE,
     AssignmentSet,
     ContentionResult,
-    Stance,
     StanceCounts,
     StanceSpace,
     SubpopulationFilter,
@@ -60,7 +59,6 @@ __all__ = [
     "RegionRow",
     "RegionTable",
     "SeriesPoint",
-    "Stance",
     "StanceCounts",
     "StanceLexicon",
     "StanceSpace",

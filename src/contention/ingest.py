@@ -22,7 +22,7 @@ File schemas (UTF-8, RFC-4180 quoting):
   form; any other element counts as its ``str()``).  Any other
   ``hashtags`` value makes the line malformed.
 - stance lexicon: JSON ``{topic, stances: [{id, label, hashtags: [...]}]}``,
-  a UTF-8 byte-order mark before it dropped.
+  a UTF-8 byte-order mark before it dropped; ``label`` is accepted and unused.
 - quadrant topics: header ``topic,stance,count,importance``.
 
 Each CSV is read by column position, found once from its header.  A UTF-8
@@ -119,17 +119,16 @@ class StanceLexicon:
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedRow(f"cannot read lexicon {path}: {exc}") from exc
         try:
-            labels, entries = {}, []
+            entries = []
             for entry in doc["stances"]:
                 sid, tags = entry["id"], entry["hashtags"]
                 if not isinstance(sid, str):
                     raise TypeError(f"stance id must be a JSON string, got {sid!r}")
                 if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                     raise TypeError(f"hashtags must be a JSON array of strings, got {tags!r}")
-                labels[sid] = str(entry.get("label") or sid)
                 entries.append((sid, tags))
             topic = str(doc["topic"])
-            space = StanceSpace.exclusive([sid for sid, _ in entries], labels)
+            space = StanceSpace.exclusive([sid for sid, _ in entries])
             index: dict[str, str] = {}
             for sid, tags in entries:
                 for tag in map(normalize_hashtag, tags):

@@ -1,4 +1,4 @@
-"""Stance/population data model and contention scoring.
+"""The stance and population data model, and contention scoring.
 
 Conventions used throughout:
 
@@ -65,31 +65,15 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
 
-#: Stance id reserved for the no-stance sentinel (index 0 in every space).
+#: The stance id reserved for the no-stance sentinel (index 0 in every space).
 NO_STANCE = "__none__"
 
 Method = Literal["exclusive-closed-form", "general-exact", "general-sampled"]
 KMode = Literal["declared", "observed"]
 
 
-@dataclass(frozen=True)
-class Stance:
-    """One explicit stance: a stable id plus a human-readable label."""
-
-    id: str
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("stance id must be non-empty")
-        if self.id == NO_STANCE:
-            raise ValueError(f"{NO_STANCE!r} is reserved for the no-stance sentinel")
-        if not self.label:
-            object.__setattr__(self, "label", self.id)
-
-
 class _StanceIndex(dict):
-    """Stance id -> index map whose unknown ids raise a KeyError naming them."""
+    """A stance id -> index map whose unknown ids raise a KeyError naming them."""
 
     def __missing__(self, stance_id: str) -> int:
         raise KeyError(f"unknown stance id {stance_id!r}")
@@ -117,6 +101,17 @@ def _checked_conflicts(
     return matrix
 
 
+def _checked_ids(stance_ids: Iterable[str]) -> tuple[str, ...]:
+    """``stance_ids`` as a tuple, each checked in turn for empty or reserved."""
+    ids = tuple(stance_ids)
+    for sid in ids:
+        if not sid:
+            raise ValueError("stance id must be non-empty")
+        if sid == NO_STANCE:
+            raise ValueError(f"{NO_STANCE!r} is reserved for the no-stance sentinel")
+    return ids
+
+
 #: k -> the checked all-pairs conflict matrix over k stances and the sentinel
 _EXCLUSIVE_MATRICES: dict[int, tuple[tuple[bool, ...], ...]] = {}
 
@@ -136,45 +131,39 @@ def _exclusive_matrix(k: int) -> tuple[tuple[bool, ...], ...]:
 
 @dataclass(frozen=True)
 class StanceSpace:
-    """The set of explicit stances plus the implicit no-stance sentinel.
+    """The explicit stance ids plus the implicit no-stance sentinel.
 
     ``conflicts`` is a dense (k+1) x (k+1) boolean matrix indexed like the
     counts: row/column 0 is the sentinel.  Construction validates symmetry
     and rejects asymmetric input rather than silently symmetrizing.
     """
 
-    stances: tuple[Stance, ...]
+    ids: tuple[str, ...]
     conflicts: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.stances]
+        ids = _checked_ids(self.ids)
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate stance ids: {ids}")
+            raise ValueError(f"duplicate stance ids: {list(ids)}")
+        object.__setattr__(self, "ids", ids)
         # the memo's own matrix for this k was checked when it was stored
         if self.conflicts is None or self.conflicts is not _EXCLUSIVE_MATRICES.get(len(ids)):
-            matrix = _checked_conflicts(self.conflicts, len(ids) + 1)
-            object.__setattr__(self, "conflicts", matrix)
+            object.__setattr__(self, "conflicts", _checked_conflicts(self.conflicts, len(ids) + 1))
 
     @classmethod
-    def exclusive(cls, stance_ids: Sequence[str], labels: Mapping[str, str] | None = None) -> StanceSpace:
+    def exclusive(cls, stance_ids: Sequence[str]) -> StanceSpace:
         """Space where every explicit stance conflicts with every other one."""
-        labels = labels or {}
-        stances = tuple(Stance(sid, labels.get(sid, "")) for sid in stance_ids)
-        return cls(stances, _exclusive_matrix(len(stances)))
+        ids = tuple(stance_ids)
+        return cls(ids, _exclusive_matrix(len(ids)))
 
     @classmethod
     def from_conflict_pairs(
-        cls,
-        stance_ids: Sequence[str],
-        conflicting: Iterable[tuple[str, str]],
-        labels: Mapping[str, str] | None = None,
+        cls, stance_ids: Sequence[str], conflicting: Iterable[tuple[str, str]]
     ) -> StanceSpace:
         """Space with an explicit list of conflicting stance-id pairs."""
-        labels = labels or {}
-        stances = tuple(Stance(sid, labels.get(sid, "")) for sid in stance_ids)
-        index = {s.id: i + 1 for i, s in enumerate(stances)}
-        k = len(stances)
-        rows = [[False] * (k + 1) for _ in range(k + 1)]
+        ids = _checked_ids(stance_ids)
+        index = {sid: i for i, sid in enumerate(ids, 1)}
+        rows = [[False] * (len(ids) + 1) for _ in range(len(ids) + 1)]
         for a, b in conflicting:
             if a not in index or b not in index:
                 raise ValueError(f"unknown stance in conflict pair ({a!r}, {b!r})")
@@ -182,16 +171,12 @@ class StanceSpace:
                 raise ValueError("a stance cannot conflict with itself")
             rows[index[a]][index[b]] = True
             rows[index[b]][index[a]] = True
-        return cls(stances, tuple(tuple(r) for r in rows))
+        return cls(ids, tuple(tuple(r) for r in rows))
 
     @property
     def k(self) -> int:
         """Number of explicit stances (the sentinel not included)."""
-        return len(self.stances)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.stances)
+        return len(self.ids)
 
     @property
     def all_ids(self) -> tuple[str, ...]:
@@ -199,11 +184,9 @@ class StanceSpace:
         return (NO_STANCE,) + self.ids
 
     def _indices(self) -> _StanceIndex:
-        """Stance id -> index, with ``__none__`` -> 0.  Built per call and
-        not stored: a space holds only its stances and its matrix."""
-        indices = _StanceIndex((s.id, i) for i, s in enumerate(self.stances, 1))
-        indices[NO_STANCE] = 0
-        return indices
+        """Each stance id -> its index, with ``__none__`` -> 0.  Built per call and
+        not stored: a space holds only its ids and its matrix."""
+        return _StanceIndex(zip(self.all_ids, range(self.k + 1)))
 
     def is_exclusive(self) -> bool:
         """True when the matrix is the memo's all-pairs matrix for k or equals it."""
@@ -240,7 +223,7 @@ class StanceCounts:
     """Per-stance population counts for one topic/population slice.
 
     ``counts[0]`` is the no-stance group; ``counts[i]`` for i >= 1 follow
-    ``space.stances`` order.  The population size is the sum of all counts.
+    ``space.ids`` order.  The population size is the sum of all counts.
     """
 
     space: StanceSpace

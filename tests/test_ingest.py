@@ -299,19 +299,40 @@ class TestLexiconAndTagging:
                                f"#{reported} appears under both 'a' and 'b'$"):
                 StanceLexicon.from_json(path)
 
-    @pytest.mark.parametrize("stances", [
-        [{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}],
-        [{"id": "a", "hashtags": [5]}, {"id": "b", "hashtags": ["no"]}],
-        [{"id": "", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
-        [{"id": "__none__", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
-        [{"id": "a", "hashtags": ["yes"]}, {"id": "a", "hashtags": ["no"]}],
-        [{"id": None, "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+    @pytest.mark.parametrize("stances, message", [
+        ([{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}],
+         "hashtags must be a JSON array of strings, got 'vote'"),
+        ([{"id": "a", "hashtags": [5]}, {"id": "b", "hashtags": ["no"]}],
+         "hashtags must be a JSON array of strings, got [5]"),
+        ([{"id": "", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+         "stance id must be non-empty"),
+        ([{"id": "__none__", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+         "'__none__' is reserved for the no-stance sentinel"),
+        ([{"id": "a", "hashtags": ["yes"]}, {"id": "a", "hashtags": ["no"]}],
+         "duplicate stance ids: ['a', 'a']"),
+        ([{"id": None, "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+         "stance id must be a JSON string, got None"),
     ], ids=["hashtags-string", "hashtags-number", "empty-id", "reserved-id", "duplicate-id",
             "null-id"])
-    def test_bad_lexicon_is_malformed_at_load(self, tmp_path, stances):
+    def test_bad_lexicon_is_malformed_at_load(self, tmp_path, stances, message):
         path = write(tmp_path, "bad.json", json.dumps({"topic": "t", "stances": stances}))
-        with pytest.raises(MalformedRow, match=f"^lexicon {re.escape(str(path))}: "):
+        with pytest.raises(MalformedRow, match=f"^{re.escape(f'lexicon {path}: {message}')}$"):
             StanceLexicon.from_json(path)
+
+    def test_labels_are_accepted_and_unused(self, tmp_path, dress_lexicon):
+        bare = {"topic": "dress", "stances": [
+            {key: value for key, value in entry.items() if key != "label"}
+            for entry in DRESS_LEXICON["stances"]
+        ]}
+        assert all("label" in entry for entry in DRESS_LEXICON["stances"])
+        for labels in (["Gold", "Blue"], [5, None], [{"x": 1}, ""]):
+            labelled = {"topic": "dress", "stances": [
+                {**entry, "label": label} for entry, label in zip(bare["stances"], labels)
+            ]}
+            lexicon = StanceLexicon.from_json(write(tmp_path, "labelled.json", json.dumps(labelled)))
+            assert lexicon == dress_lexicon and hash(lexicon) == hash(dress_lexicon)
+        lexicon = StanceLexicon.from_json(write(tmp_path, "bare.json", json.dumps(bare)))
+        assert lexicon == dress_lexicon and hash(lexicon) == hash(dress_lexicon)
 
     def test_unique_stance_match(self, tmp_path, dress_lexicon):
         line = tweet("1", "2015-02-26T12:00:00Z", "u1", ["WhiteAndGold", "ootd"])

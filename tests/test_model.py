@@ -282,7 +282,7 @@ class TestValidation:
             (False, False, False),  # missing the mirror of (1,2)
         )
         with pytest.raises(ValueError, match="asymmetric"):
-            StanceSpace((TWO.stances), matrix)
+            StanceSpace(TWO.ids, matrix)
 
     def test_self_conflict_rejected(self):
         matrix = (
@@ -291,7 +291,7 @@ class TestValidation:
             (False, True, False),
         )
         with pytest.raises(ValueError, match="itself"):
-            StanceSpace(TWO.stances, matrix)
+            StanceSpace(TWO.ids, matrix)
 
     def test_no_stance_conflict_rejected(self):
         matrix = (
@@ -300,7 +300,7 @@ class TestValidation:
             (False, True, False),
         )
         with pytest.raises(ValueError, match="no-stance"):
-            StanceSpace(TWO.stances, matrix)
+            StanceSpace(TWO.ids, matrix)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -309,6 +309,31 @@ class TestValidation:
     def test_reserved_sentinel_id(self):
         with pytest.raises(ValueError):
             StanceSpace.exclusive([NO_STANCE])
+
+    def test_every_id_is_checked_before_the_duplicates(self):
+        empty = "^stance id must be non-empty$"
+        reserved = "^'__none__' is reserved for the no-stance sentinel$"
+        for build in (StanceSpace.exclusive, lambda ids: StanceSpace(ids, None)):
+            with pytest.raises(ValueError, match=empty):
+                build(["a", "a", ""])
+            with pytest.raises(ValueError, match=reserved):
+                build(["a", "a", NO_STANCE, ""])
+            with pytest.raises(ValueError, match=r"^duplicate stance ids: \['a', 'b', 'a'\]$"):
+                build(("a", "b", "a"))
+        # from_conflict_pairs checks each id, then the pairs, then the repeats
+        with pytest.raises(ValueError, match=empty):
+            StanceSpace.from_conflict_pairs(["a", ""], [("a", "c")])
+        with pytest.raises(ValueError, match=r"^unknown stance in conflict pair \('a', 'c'\)$"):
+            StanceSpace.from_conflict_pairs(["a", "a"], [("a", "c")])
+        with pytest.raises(ValueError, match=r"^duplicate stance ids: \['a', 'a'\]$"):
+            StanceSpace.from_conflict_pairs(["a", "a"], [])
+
+    def test_a_list_of_ids_equals_and_hashes_like_the_tuple(self):
+        matrix = ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+        listed, held = StanceSpace(["a", "b"], matrix), StanceSpace(("a", "b"), matrix)
+        assert listed.ids == ("a", "b") and type(listed.ids) is tuple
+        assert listed == held == TWO and hash(listed) == hash(held) == hash(TWO)
+        assert StanceSpace.exclusive(iter(["a", "b"])) == TWO
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match=r"^counts must be non-negative: \(0, -1, 2\)$"):
@@ -376,7 +401,7 @@ class TestSharedExclusiveMatrix:
 
     def test_spaces_of_equal_k_share_one_matrix(self):
         a = StanceSpace.exclusive(["leave", "remain", "undecided"])
-        b = StanceSpace.exclusive(["x", "y", "z"], {"x": "Ex"})
+        b = StanceSpace.exclusive(["x", "y", "z"])
         assert a.conflicts is b.conflicts
         assert a.is_exclusive() and b.is_exclusive()
         assert StanceSpace.exclusive(["x", "y"]).conflicts is not a.conflicts
@@ -410,8 +435,8 @@ class TestSharedExclusiveMatrix:
         space = StanceSpace.exclusive(self.ids(3))
         shared = space.conflicts
         checked.clear()
-        copy = StanceSpace(space.stances, tuple(tuple(list(row)) for row in shared))
-        as_ints = StanceSpace(space.stances, [[int(c) for c in row] for row in shared])
+        copy = StanceSpace(space.ids, tuple(tuple(list(row)) for row in shared))
+        as_ints = StanceSpace(space.ids, [[int(c) for c in row] for row in shared])
         assert checked == [4, 4]
         assert copy.conflicts == shared and copy.conflicts is not shared
         assert as_ints.conflicts == shared
@@ -422,7 +447,7 @@ class TestSharedExclusiveMatrix:
         lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
     ], ids=["pickle", "copy", "deepcopy"])
     def test_cloned_space_and_counts_stay_exclusive(self, clone):
-        space = StanceSpace.exclusive(self.ids(3), {"s0": "Zero"})
+        space = StanceSpace.exclusive(self.ids(3))
         counts = StanceCounts(space, (4, 1, 2, 3))
         space_clone, counts_clone = clone(space), clone(counts)
         assert space_clone == space and space_clone.is_exclusive()
@@ -443,7 +468,7 @@ class TestSharedExclusiveMatrix:
         i, j = flip
         rows[i][j] = not rows[i][j]
         with pytest.raises(ValueError, match=message):
-            StanceSpace(space.stances, tuple(map(tuple, rows)))
+            StanceSpace(space.ids, tuple(map(tuple, rows)))
         # the memo's own matrix is untouched
         assert StanceSpace.exclusive(self.ids(3)).conflicts == space.conflicts
         assert space.conflicts[i][j] != rows[i][j]
@@ -451,24 +476,23 @@ class TestSharedExclusiveMatrix:
     def test_missing_matrix_of_an_unseen_k_is_rejected(self, monkeypatch):
         monkeypatch.setattr(model, "_EXCLUSIVE_MATRICES", {})
         with pytest.raises(TypeError):
-            StanceSpace(StanceSpace.exclusive(["a"]).stances + (model.Stance("b"),), None)
+            StanceSpace(StanceSpace.exclusive(["a"]).ids + ("b",), None)
 
     def test_memo_matrix_of_another_k_is_checked(self):
         two = StanceSpace.exclusive(["a", "b"]).conflicts
         with pytest.raises(ValueError, match="must be 4x4"):
-            StanceSpace(StanceSpace.exclusive(self.ids(3)).stances, two)
+            StanceSpace(StanceSpace.exclusive(self.ids(3)).ids, two)
 
     def test_fields_equality_hash_and_repr_are_unchanged(self):
-        assert [f.name for f in fields(StanceSpace)] == ["stances", "conflicts"]
-        space = StanceSpace.exclusive(["a", "b"], {"a": "Yes"})
+        assert [f.name for f in fields(StanceSpace)] == ["ids", "conflicts"]
+        space = StanceSpace.exclusive(["a", "b"])
         assert repr(space) == (
-            "StanceSpace(stances=(Stance(id='a', label='Yes'), Stance(id='b', label='b')), "
+            "StanceSpace(ids=('a', 'b'), "
             "conflicts=((False, False, False), (False, False, True), (False, True, False)))"
         )
-        direct = StanceSpace(space.stances, ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+        direct = StanceSpace(space.ids, ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
         assert direct == space and hash(direct) == hash(space)
-        assert space != StanceSpace.exclusive(["a", "b"])
-        assert space != StanceSpace.from_conflict_pairs(["a", "b"], [], {"a": "Yes"})
+        assert space != StanceSpace.from_conflict_pairs(["a", "b"], [])
         assert {space, direct} == {space}
 
 

@@ -30,7 +30,7 @@ TAGS = {
 }
 LEXICON = StanceLexicon(
     "referendum",
-    StanceSpace.exclusive(list(TAGS), {sid: sid.title() for sid in TAGS}),
+    StanceSpace.exclusive(list(TAGS)),
     {normalize_hashtag(tag): sid for sid, tags in TAGS.items() for tag in tags},
 )
 
