@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from . import analytics, ingest
 from .errors import ConfigError, ContentionError, EmptyInput, ResultTooLarge
@@ -112,7 +112,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems with exit status 64."""
 
-    def error(self, message: str):  # noqa: A003 - argparse API
+    def error(self, message: str) -> NoReturn:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -389,7 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.cmd](args, _effective(args))
     except _UsageError as exc:
         parser.error(str(exc))
-        return EX_USAGE  # unreachable; parser.error exits
     except (ContentionError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return EX_DATA

@@ -25,7 +25,7 @@ File schemas (UTF-8, RFC-4180 quoting):
   a UTF-8 byte-order mark before it dropped; ``label`` is accepted and unused.
 - quadrant topics: header ``topic,stance,count,importance``.
 
-Each CSV is read by column position, found once from its header.  A UTF-8
+Each loader reads its CSV by column, found once from the header.  A UTF-8
 byte-order mark before the header is dropped.  A header that names a column
 the loader reads twice (``count`` in ``topic,stance,count,count``) is
 malformed; a repeated column no loader reads is legal.
@@ -372,29 +372,25 @@ _SHARED_COUNTS_CAP = 4096
 
 def _read_grouped(
     path: str | Path,
+    header: list[str],
+    rows: Iterator[list[str]],
     key: str,
     stance: str,
-    parser: Callable[[list[str]], Callable[[str, str, list[str]], int]],
-    values: Sequence[str] = (),
-    optional: Sequence[str] = (),
+    parse: Callable[[str, str, list[str]], int],
 ) -> dict[str, StanceCounts]:
-    """Rows grouped by their ``key`` cell, then by their ``stance`` cell, in
-    file order, each group as its StanceCounts (``_exclusive_counts``).
-    ``parser`` is given the header and returns the function that turns a
+    """The ``rows`` it is given, grouped under the ``header`` it is given by
+    their ``key`` cell, then by their ``stance`` cell, in file order, each
+    group as its StanceCounts (``_exclusive_counts``).  ``parse`` turns a
     row's key, stance and fields into its count as it is read.
 
-    The header must also name the ``values`` columns (see
-    ``_read_csv_rows`` for ``optional``).  A row with an empty key or
-    stance, or a (key, stance) pair seen before, is malformed.
+    A row with an empty key or stance, or a (key, stance) pair seen before,
+    is malformed.
 
     A group is closed once a row names another group.  A later row of it
     reopens it, and a reopened group stays open until the file ends, so
     each group is closed at most twice however often its rows are split.
     """
-    rows = _read_csv_rows(path, (key, stance, *values), optional)
-    header = next(rows)
     at_key, at_stance = header.index(key), header.index(stance)
-    parse = parser(header)
     groups: dict[str, dict[str, int] | StanceCounts] = {}
     spaces: dict[tuple[str, ...], StanceSpace] = {}
     # a reopened group stays open until the file ends: only a new one closes
@@ -522,22 +518,24 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
     topic, and are converted to effective counts with round-half-to-even.
     The ``__none__`` stance row holds the no-answer group.
     """
+    rows = _read_csv_rows(path, ("topic", "stance"), ("count", "percent", "total"))
+    header = next(rows)
     totals: dict[str, int] = {}
+    if "count" in header:
+        at_count = header.index("count")
 
-    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
-        if "count" in header:
-            at_count = header.index("count")
-            return lambda topic, sid, fields: _parse_count(fields[at_count], header, fields)
-        if "percent" not in header:
-            def no_layout(topic: str, sid: str, fields: list[str]) -> int:
-                raise MalformedRow(
-                    f"poll rows need a 'count' or 'percent' column, got {_row(header, fields)}"
-                )
-            return no_layout
+        def parse(topic: str, sid: str, fields: list[str]) -> int:
+            return _parse_count(fields[at_count], header, fields)
+    elif "percent" not in header:
+        def parse(topic: str, sid: str, fields: list[str]) -> int:
+            raise MalformedRow(
+                f"poll rows need a 'count' or 'percent' column, got {_row(header, fields)}"
+            )
+    else:
         at_percent = header.index("percent")
         at_total = header.index("total") if "total" in header else None
 
-        def parse_percent(topic: str, sid: str, fields: list[str]) -> int:
+        def parse(topic: str, sid: str, fields: list[str]) -> int:
             try:
                 percent = _parse_percent(fields[at_percent])
             except (ValueError, ZeroDivisionError) as exc:
@@ -555,10 +553,7 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
             _agree(totals, topic, total, "respondent totals")
             return _percent_count(percent, total)
 
-        return parse_percent
-
-    return list(_read_grouped(path, "topic", "stance", parser,
-                              optional=("count", "percent", "total")).items())
+    return list(_read_grouped(path, header, rows, "topic", "stance", parse).items())
 
 
 def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable:
@@ -573,21 +568,19 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
     """
     if turnout not in ("ballots", "eligible"):
         raise ValueError(f"turnout must be 'ballots' or 'eligible', got {turnout!r}")
+    rows = _read_csv_rows(path, ("region", "option", "count"))
+    header = next(rows)
+    at_count = header.index("count")
     options: dict[str, None] = {}  # the valid options, in the order the file names them
 
-    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
-        at_count = header.index("count")
+    def parse(region: str, option: str, fields: list[str]) -> int:
+        if region == ALL_REGIONS:
+            raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
+        if option not in (ELIGIBLE, REJECTED, NO_STANCE):
+            options[option] = None
+        return _parse_count(fields[at_count], header, fields)
 
-        def parse(region: str, option: str, fields: list[str]) -> int:
-            if region == ALL_REGIONS:
-                raise MalformedRow(f"region id {ALL_REGIONS!r} is reserved for the aggregate")
-            if option not in (ELIGIBLE, REJECTED, NO_STANCE):
-                options[option] = None
-            return _parse_count(fields[at_count], header, fields)
-
-        return parse
-
-    per_region = _read_grouped(path, "region", "option", parser, ("count",))
+    per_region = _read_grouped(path, header, rows, "region", "option", parse)
     space = StanceSpace.exclusive(list(options))
     table_rows = []
     for region, closed in per_region.items():
@@ -627,21 +620,19 @@ def load_quadrant_topics(path: str | Path) -> list[tuple[str, StanceCounts, floa
     The importance rating must agree across a topic's rows; an empty field
     means the topic has no rating (rejected when it is scored).
     """
+    rows = _read_csv_rows(path, ("topic", "stance", "count"), ("importance",))
+    header = next(rows)
+    at_count = header.index("count")
+    at_importance = header.index("importance") if "importance" in header else None
     ratings: dict[str, float | None] = {}
 
-    def parser(header: list[str]) -> Callable[[str, str, list[str]], int]:
-        at_count = header.index("count")
-        at_importance = header.index("importance") if "importance" in header else None
+    def parse(topic: str, sid: str, fields: list[str]) -> int:
+        count = _parse_count(fields[at_count], header, fields)
+        text = "" if at_importance is None else fields[at_importance]
+        _agree(ratings, topic, _importance(text, header, fields), "importance ratings")
+        return count
 
-        def parse(topic: str, sid: str, fields: list[str]) -> int:
-            count = _parse_count(fields[at_count], header, fields)
-            text = "" if at_importance is None else fields[at_importance]
-            _agree(ratings, topic, _importance(text, header, fields), "importance ratings")
-            return count
-
-        return parse
-
-    topics = _read_grouped(path, "topic", "stance", parser, ("count",), ("importance",))
+    topics = _read_grouped(path, header, rows, "topic", "stance", parse)
     return [(topic, counts, ratings[topic]) for topic, counts in topics.items()]
 
 

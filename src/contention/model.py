@@ -724,8 +724,6 @@ def _restrict_counts(counts: StanceCounts, flt: SubpopulationFilter) -> StanceCo
     unknown = [attr for attr in flt.attributes() if attr != "stance"]
     if unknown:
         raise UnknownAttribute(f"counts only resolve the 'stance' attribute, not {unknown}")
-    if flt.is_always_true:
-        return StanceCounts(counts.space, counts.counts, flt)
     kept = tuple(
         c if all(sid in allowed for _, allowed in flt.criteria) else 0
         for sid, c in zip(counts.space.all_ids, counts.counts)

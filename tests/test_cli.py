@@ -521,6 +521,14 @@ class TestConfigAndHelp:
         assert code == EX_DATA
         assert json.loads(err.strip())["error"] == "ConfigError"
 
+    def test_config_that_is_not_an_object_is_config_error(self, poll_csv, tmp_path, capsys):
+        config = write(tmp_path, "cfg.json", "[]")
+        code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
+        assert (code, out) == (EX_DATA, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError",
+                                    "message": f"config {config} must hold a JSON object"}
+
     @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--seed", "-1"]])
     def test_bad_flag_value_is_usage_error(self, poll_csv, flags, capsys):
         code, out, _ = run_cli(["poll", poll_csv, *flags], capsys)
@@ -539,6 +547,15 @@ class TestConfigAndHelp:
         code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
         assert code == EX_USAGE and out == ""
         assert key.replace("_", "-") in err or key in err
+
+    def test_null_config_value_is_the_default_where_that_is_none(self, poll_csv, tmp_path,
+                                                                 capsys):
+        # unlike ("precision", None) above: --out's default is None (stdout)
+        config = write(tmp_path, "cfg.json", json.dumps({"out": None}))
+        code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["poll", poll_csv], capsys)[1]
+        assert out.startswith("topic,n,k,raw,normalized\nevolution,")
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)

@@ -27,7 +27,10 @@ from contention.errors import (
 from contention.ingest import (
     ALL_REGIONS,
     _percent_count,
+    DailySeries,
+    DaySlice,
     RegionRow,
+    RegionTable,
     all_regions_row,
     _read_csv_rows,
     _read_grouped,
@@ -58,6 +61,11 @@ DRESS_LEXICON = {
          "hashtags": ["blackandblue", "notwhiteandgold", "negroyazul"]},
     ],
 }
+
+
+def lexicon_of(stances):
+    """A lexicon document of topic ``t`` holding ``stances``."""
+    return {"topic": "t", "stances": stances}
 
 
 @pytest.fixture
@@ -242,6 +250,17 @@ class TestVoteRecords:
         assert region(table, "r").counts.counts == (50, 30, 20)
         assert region(table, "r").eligible == 100
 
+    def test_unknown_turnout_rejected(self, tmp_path):
+        path = write(tmp_path, "votes.csv", "region,option,count\nr,a,30\n")
+        with pytest.raises(ValueError,
+                           match="^turnout must be 'ballots' or 'eligible', got 'eligble'$"):
+            load_vote_records(path, "eligble")
+
+    def test_region_ids_must_be_unique(self):
+        row = RegionRow("a", StanceCounts(StanceSpace.exclusive(["x"]), (0, 1)))
+        with pytest.raises(ValueError, match="^region ids must be unique$"):
+            RegionTable("t", (row, row))
+
     def test_missing_eligible(self, tmp_path):
         path = write(tmp_path, "votes.csv", "region,option,count\nr,a,30\n")
         with pytest.raises(MissingEligible):
@@ -299,23 +318,27 @@ class TestLexiconAndTagging:
                                f"#{reported} appears under both 'a' and 'b'$"):
                 StanceLexicon.from_json(path)
 
-    @pytest.mark.parametrize("stances, message", [
-        ([{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}],
+    @pytest.mark.parametrize("doc, message", [
+        (lexicon_of([{"id": "a", "hashtags": "vote"}, {"id": "b", "hashtags": ["no"]}]),
          "hashtags must be a JSON array of strings, got 'vote'"),
-        ([{"id": "a", "hashtags": [5]}, {"id": "b", "hashtags": ["no"]}],
+        (lexicon_of([{"id": "a", "hashtags": [5]}, {"id": "b", "hashtags": ["no"]}]),
          "hashtags must be a JSON array of strings, got [5]"),
-        ([{"id": "", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+        (lexicon_of([{"id": "", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}]),
          "stance id must be non-empty"),
-        ([{"id": "__none__", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+        (lexicon_of([{"id": "__none__", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}]),
          "'__none__' is reserved for the no-stance sentinel"),
-        ([{"id": "a", "hashtags": ["yes"]}, {"id": "a", "hashtags": ["no"]}],
+        (lexicon_of([{"id": "a", "hashtags": ["yes"]}, {"id": "a", "hashtags": ["no"]}]),
          "duplicate stance ids: ['a', 'a']"),
-        ([{"id": None, "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}],
+        (lexicon_of([{"id": None, "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}]),
          "stance id must be a JSON string, got None"),
+        ({"stances": [{"id": "a", "hashtags": ["yes"]}, {"id": "b", "hashtags": ["no"]}]},
+         "missing field 'topic'"),
+        (lexicon_of([{"id": "a"}, {"id": "b", "hashtags": ["no"]}]),
+         "missing field 'hashtags'"),
     ], ids=["hashtags-string", "hashtags-number", "empty-id", "reserved-id", "duplicate-id",
-            "null-id"])
-    def test_bad_lexicon_is_malformed_at_load(self, tmp_path, stances, message):
-        path = write(tmp_path, "bad.json", json.dumps({"topic": "t", "stances": stances}))
+            "null-id", "no-topic", "no-hashtags"])
+    def test_bad_lexicon_is_malformed_at_load(self, tmp_path, doc, message):
+        path = write(tmp_path, "bad.json", json.dumps(doc))
         with pytest.raises(MalformedRow, match=f"^{re.escape(f'lexicon {path}: {message}')}$"):
             StanceLexicon.from_json(path)
 
@@ -447,6 +470,14 @@ class TestTimestamps:
 
 
 class TestBuildDailyCounts:
+    @pytest.mark.parametrize("days", [("2016-01-02", "2016-01-01"), ("2016-01-01", "2016-01-01")],
+                             ids=["decreasing", "repeated"])
+    def test_days_must_strictly_increase(self, days):
+        zero = StanceCounts(StanceSpace.exclusive(["x"]), (0, 0))
+        slices = tuple(DaySlice(date.fromisoformat(d), zero) for d in days)
+        with pytest.raises(ValueError, match="^days must be strictly increasing by date$"):
+            DailySeries("t", slices)
+
     def test_worked_example(self, tmp_path, dress_lexicon):
         tweets = (
             [tweet(str(i), "2015-02-26T10:00:00Z", f"u{i}", ["whiteandgold"]) for i in range(30)]
@@ -886,8 +917,9 @@ def test_grouped_rows_hold_each_stance_id_once(tmp_path, loader):
     path = write(tmp_path, "in.csv",
                  "".join(f"{line}\n" for line in [header, *(f"{g},{s},1{tail}" for g, s in rows)]))
     received = []
-    groups = _read_grouped(path, key, stance,
-                           lambda header: lambda group, sid, fields: received.append(sid) or 1)
+    reader = _read_csv_rows(path, (key, stance))
+    groups = _read_grouped(path, next(reader), reader, key, stance,
+                           lambda group, sid, fields: received.append(sid) or 1)
     first, second = groups["t1"].space.ids, groups["t2"].space.ids
     assert first == ("leave", "remain") and second == ("remain", "leave")
     assert received == [sid for _, sid in rows]

@@ -178,6 +178,11 @@ class TestSampled:
         assert repr(run(np.int64(1000))) == repr(run(1000))
         assert run(np.uint16(1000)).samples == 1000
 
+    def test_counts_sampler_rejects_an_empty_population(self):
+        with pytest.raises(EmptyPopulation,
+                           match="^contention is undefined for an empty population$"):
+            sampled_from_counts(counts(0, 0, 0), 1000, seed=1)
+
     def test_counts_backed_sampler_matches_exact(self):
         c = counts(100, 300, 600)
         exact = contention_exclusive(c)
@@ -204,6 +209,10 @@ class TestRestrict:
         )
         assert sliced.counts == (10, 20, 0)
         assert contention_exclusive(sliced).raw == 0.0
+
+    def test_only_counts_and_assignments_restrict(self):
+        with pytest.raises(TypeError, match="^cannot restrict list$"):
+            restrict([1, 2], SubpopulationFilter())
 
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttribute):
@@ -293,6 +302,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="itself"):
             StanceSpace(TWO.ids, matrix)
 
+    def test_self_conflict_pair_rejected_before_later_pairs(self):
+        # without the pair check, the matrix check would reject ("a", "a")
+        # too, but only after the loop had reported the unknown pair
+        with pytest.raises(ValueError, match="^a stance cannot conflict with itself$"):
+            StanceSpace.from_conflict_pairs(["a", "b"], [("a", "a"), ("a", "c")])
+
     def test_no_stance_conflict_rejected(self):
         matrix = (
             (False, True, False),
@@ -353,6 +368,15 @@ class TestValidation:
     def test_counts_addition_and_scaling(self):
         total = counts(1, 2, 3) + counts(4, 5, 6)
         assert total.counts == (5, 7, 9)
+
+    def test_counts_over_different_spaces_do_not_add(self):
+        other = StanceSpace.exclusive(["a", "c"])
+        with pytest.raises(ValueError, match="^cannot add counts over different stance spaces$"):
+            counts(1, 2, 3) + counts(4, 5, 6, space=other)
+
+    def test_misaligned_attributes_rejected(self):
+        with pytest.raises(ValueError, match="^attributes must align one-to-one with assignments$"):
+            AssignmentSet.from_stance_ids(TWO, [{"a"}], attributes=[{}, {}])
 
     def test_joint_no_stance_rejected(self):
         with pytest.raises(ValueError):

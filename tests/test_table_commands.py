@@ -1,6 +1,6 @@
-"""The table commands (poll, votes, quadrant) through ``main()``: their
-output checked against the benchmark's independent oracle, and mutated
-inputs that must end in a clean exit."""
+"""The table commands (poll, votes, quadrant) and ``tweets`` through
+``main()``: their output checked against the benchmark's independent
+oracle, and mutated table inputs that must end in a clean exit."""
 
 import contextlib
 import gc
@@ -58,6 +58,27 @@ def test_output_matches_bench_oracle(tmp_path, case, seed):
     code, out, err = run_main([case.split("-")[0], str(path), *flags])
     assert (code, err) == (EX_OK, "")
     assert oracle.check_csv(out, expected) == []
+
+
+@pytest.mark.parametrize("totals", [False, True], ids=["no-totals", "totals"])
+@pytest.mark.parametrize("by_user", [False, True], ids=["tweets", "by-user"])
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tweets_output_matches_bench_oracle(tmp_path, seed, shards, by_user, totals):
+    rng = gen.rng_for("tweets", seed)
+    paths, truth, _ = gen.write_tweets(rng, tmp_path, 3000, shards)
+    lexicon = tmp_path / "lexicon.json"
+    gen.write_lexicon(lexicon)
+    argv = ["tweets", *map(str, paths), "--lexicon", str(lexicon)]
+    day_totals = None
+    if totals:
+        day_totals = gen.write_totals(rng, tmp_path / "totals.csv", truth)
+        argv += ["--totals", str(tmp_path / "totals.csv")]
+    if by_user:
+        argv.append("--by-user")
+    code, out, _ = run_main(argv)
+    assert code == EX_OK
+    assert oracle.check_csv(out, gen.expected_tweets(truth, day_totals, by_user)) == []
 
 
 def test_poll_peak_memory_per_row(tmp_path):
