@@ -9,12 +9,14 @@ by date or region id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import EmptyInput, ImportanceOutOfDeclaredRange, MissingImportance
 from .ingest import DailySeries, RegionTable
 from .model import ContentionResult, KMode, StanceCounts, _norm_k, contention_exclusive
+
+if TYPE_CHECKING:
+    from datetime import date
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -197,6 +196,8 @@ def build_parser() -> _Parser:
 
 
 def _load_config(path: str) -> dict[str, Any]:
+    import json
+
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
@@ -247,14 +248,6 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- output -----------------------------------------------------------------------
 
-def _fmt(value: Any, precision: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
 def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) -> None:
     """Write ``records``, at least one, built as they are written if lazy."""
     precision = cfg["precision"]
@@ -262,6 +255,8 @@ def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) ->
     def emit(handle: TextIO) -> None:
         try:
             if cfg["json"]:
+                import json
+
                 for record in records:
                     rounded = {
                         key: (round(v, precision) if isinstance(v, float) else v)
@@ -273,7 +268,9 @@ def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) ->
                 for i, record in enumerate(records):
                     if not i:
                         writer.writerow(record.keys())
-                    writer.writerow(_fmt(v, precision) for v in record.values())
+                    # csv.writer writes an int as str() does and None as ""
+                    writer.writerow([f"{v:.{precision}f}" if isinstance(v, float) else v
+                                     for v in record.values()])
         except ValueError as exc:
             # str() and json.dumps refuse an integer longer than the
             # interpreter's digit limit
@@ -287,11 +284,6 @@ def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) ->
             emit(handle)
     else:
         emit(sys.stdout)
-
-
-def _emit_error(exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(record), file=sys.stderr)
 
 
 def _score(counts, cfg: Mapping[str, Any]):
@@ -389,13 +381,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.cmd](args, _effective(args))
     except _UsageError as exc:
         parser.error(str(exc))
-    except (ContentionError, OSError, UnicodeDecodeError) as exc:
-        _emit_error(exc)
-        return EX_DATA
-    except MemoryError as exc:
-        # a --samples too large to hold; numpy raises a private subclass,
-        # so the record names the builtin class
-        _emit_error(MemoryError(str(exc)))
+    except (ContentionError, OSError, UnicodeDecodeError, MemoryError) as exc:
+        import json
+
+        # MemoryError: a --samples too large to hold; numpy raises a private
+        # subclass, so the record names the builtin class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return EX_DATA
 
 

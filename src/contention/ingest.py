@@ -42,23 +42,23 @@ one int object, up to a capped memo of distinct values.  A later row
 of a finished topic reopens it, and a reopened topic stays a dict until
 the file ends.  The vote loader then rebuilds each region's counts over
 its one space of every option.
+
+``json``, ``datetime`` and ``fractions`` are imported by the paths that
+call them, once per call, so a count-file load never pays for them.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 import sys
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     DuplicateStanceRow,
@@ -72,6 +72,10 @@ from .errors import (
     TotalLessThanStanceCounts,
 )
 from .model import NO_STANCE, StanceCounts, StanceSpace
+
+if TYPE_CHECKING:
+    from datetime import date
+    from fractions import Fraction
 
 ELIGIBLE = "__eligible__"
 REJECTED = "__rejected__"
@@ -114,6 +118,8 @@ class StanceLexicon:
 
     @classmethod
     def from_json(cls, path: str | Path) -> StanceLexicon:
+        import json
+
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
@@ -192,6 +198,9 @@ def iter_tweet_stream(
     that is not valid UTF-8 among them, are skipped, not fatal; the caller
     decides whether the accumulated error ratio still fits its budget.
     """
+    import json
+    from datetime import datetime, timezone
+
     # raw_decode calls this scanner only to turn its StopIteration into JSONDecodeError
     scan = json.JSONDecoder().scan_once
     utc = timezone.utc
@@ -466,16 +475,6 @@ def _parse_count(text: str, header: Sequence[str], fields: Sequence[str]) -> int
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _parse_date(text: str) -> date:
-    # only YYYY-MM-DD: Python 3.11+'s fromisoformat also reads 20160501 and 2016-W18-7
-    try:
-        if not _ISO_DATE.fullmatch(text):
-            raise ValueError("not YYYY-MM-DD")
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise MalformedRow(f"bad date {text!r} (want YYYY-MM-DD)") from exc
-
-
 def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
     """Keep the first ``value`` a topic's rows give; a row of that topic
     that gives another value is malformed."""
@@ -488,15 +487,6 @@ def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
 #: grows with the exponent's value instead of the cell's length
 _PERCENT_EXPONENT_LIMIT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
-def _parse_percent(text: str) -> Fraction:
-    """A percent cell's exact value; ValueError when ``Fraction`` cannot
-    read it or its exponent lies past +-``_PERCENT_EXPONENT_LIMIT``."""
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > _PERCENT_EXPONENT_LIMIT:
-        raise ValueError(f"exponent past +-{_PERCENT_EXPONENT_LIMIT}")
-    return Fraction(text)
 
 
 def _percent_count(percent: Fraction, total: int) -> int:
@@ -532,12 +522,18 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
                 f"poll rows need a 'count' or 'percent' column, got {_row(header, fields)}"
             )
     else:
+        from fractions import Fraction
+
         at_percent = header.index("percent")
         at_total = header.index("total") if "total" in header else None
 
         def parse(topic: str, sid: str, fields: list[str]) -> int:
+            text = fields[at_percent]
             try:
-                percent = _parse_percent(fields[at_percent])
+                exponent = _EXPONENT.search(text)
+                if exponent and abs(int(exponent[1])) > _PERCENT_EXPONENT_LIMIT:
+                    raise ValueError(f"exponent past +-{_PERCENT_EXPONENT_LIMIT}")
+                percent = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedRow(f"bad percentage in row {_row(header, fields)}") from exc
             if percent.numerator < 0:
@@ -600,14 +596,23 @@ def load_vote_records(path: str | Path, turnout: str = "ballots") -> RegionTable
 
 def load_daily_totals(path: str | Path) -> dict[date, int]:
     """Read the ``date,total`` baseline counts (the G0 source) per UTC day."""
+    from datetime import date
+
     rows = _read_csv_rows(path, ("date", "total"))
     header = next(rows)
     at_date, at_total = header.index("date"), header.index("total")
     totals: dict[date, int] = {}
     for fields in rows:
-        day = _parse_date(fields[at_date])
+        text = fields[at_date]
+        # only YYYY-MM-DD: Python 3.11+'s fromisoformat also reads 20160501 and 2016-W18-7
+        try:
+            if not _ISO_DATE.fullmatch(text):
+                raise ValueError("not YYYY-MM-DD")
+            day = date.fromisoformat(text)
+        except ValueError as exc:
+            raise MalformedRow(f"bad date {text!r} (want YYYY-MM-DD)") from exc
         if day in totals:
-            raise DuplicateStanceRow(f"date {fields[at_date]} appears twice in totals")
+            raise DuplicateStanceRow(f"date {text} appears twice in totals")
         totals[day] = _parse_count(fields[at_total], header, fields)
     if not totals:
         raise EmptyInput(f"{path}: no data rows")

@@ -51,6 +51,10 @@ about 1 byte per draw (up to 256 distinct held sets, or 254 stances).
 
 Counts are Python ints, so numerator products are exact at any population
 size; the single final float division carries relative error ~1e-16.
+
+A ``ContentionResult`` holds eight slotted fields; ``non_contention_raw``
+and ``non_contention_normalized`` are properties computing ``1.0 - raw``
+and ``1.0 - normalized``.
 """
 
 from __future__ import annotations
@@ -210,10 +214,6 @@ class SubpopulationFilter:
     def of(cls, **criteria: Iterable[str]) -> SubpopulationFilter:
         return cls(tuple(sorted((k, frozenset(v)) for k, v in criteria.items())))
 
-    @property
-    def is_always_true(self) -> bool:
-        return not self.criteria
-
     def attributes(self) -> tuple[str, ...]:
         return tuple(attr for attr, _ in self.criteria)
 
@@ -357,9 +357,9 @@ class AssignmentSet:
         return StanceCounts(self.space, tuple(row), self.filter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentionResult:
-    """Raw and normalized contention plus the complement scores.
+    """Raw and normalized contention; the complement scores are properties.
 
     ``k`` is the stance count used for normalization: the declared k of the
     stance space by default, or the observed nonzero count under
@@ -369,14 +369,20 @@ class ContentionResult:
 
     raw: float
     normalized: float
-    non_contention_raw: float
-    non_contention_normalized: float
     k: int
     population: int
     method: Method
     samples: int | None = None
     seed: int | None = None
     filter: SubpopulationFilter | None = field(default=None, compare=False)
+
+    @property
+    def non_contention_raw(self) -> float:
+        return 1.0 - self.raw
+
+    @property
+    def non_contention_normalized(self) -> float:
+        return 1.0 - self.normalized
 
 
 def max_contention(k: int) -> float:
@@ -429,18 +435,7 @@ def _result_from_ratio(
         normalized = (num * k) / (den * (k - 1)) if k >= 2 else 0.0
     else:
         normalized = normalize_contention(raw, k)
-    return ContentionResult(
-        raw=raw,
-        normalized=normalized,
-        non_contention_raw=1.0 - raw,
-        non_contention_normalized=1.0 - normalized,
-        k=k,
-        population=population,
-        method=method,
-        samples=samples,
-        seed=seed,
-        filter=flt,
-    )
+    return ContentionResult(raw, normalized, k, population, method, samples, seed, flt)
 
 
 def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") -> ContentionResult:
@@ -457,13 +452,15 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
         raise NonExclusiveSpace(
             "conflict matrix is not the mutually-exclusive pattern; use contention_general"
         )
-    n = counts.total
-    if n == 0:
-        raise EmptyPopulation("contention is undefined for an empty population")
     g = counts.explicit
     n_s = sum(g)
+    n = n_s + counts.counts[0]
+    if n == 0:
+        raise EmptyPopulation("contention is undefined for an empty population")
     num = n_s * n_s - sum(x * x for x in g)
-    k = _norm_k(counts.space.k, counts.observed_k, k_mode)
+    k = counts.space.k
+    if k_mode != "declared":  # observed_k is counted only when it is the k asked for
+        k = _norm_k(k, counts.observed_k, k_mode)
     return _result_from_ratio(
         num, n * n, k=k, population=n, method="exclusive-closed-form", flt=counts.filter
     )

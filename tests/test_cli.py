@@ -617,9 +617,36 @@ def _python(*args):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+# modules that only some command paths import: numpy (the samplers), and
+# fractions (with decimal), json and datetime (see cli and ingest)
+_DEFERRED = ("numpy", "fractions", "decimal", "json", "datetime")
+
+# prints the modules that running the given code adds to those the fresh
+# interpreter already holds, so what ``site`` loads does not count
+_ADDED_BY = """
+import sys
+before = set(sys.modules)
+{code}
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _deferred_loaded_by(code, *args):
+    proc = _python("-c", _ADDED_BY.format(code=code), *args)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    return [name for name in _DEFERRED if name in added]
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    proc = _python("-c", "import contention.cli, sys; print('numpy' in sys.modules)")
-    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+    assert _deferred_loaded_by("import contention.cli\ncontention.cli.build_parser()") == []
+
+
+def test_poll_on_a_count_file_leaves_deferred_modules_unloaded(tmp_path, poll_csv):
+    run = "from contention.cli import main\nassert main(sys.argv[1:]) == 0"
+    out = str(tmp_path / "out.csv")
+    assert _deferred_loaded_by(run, "poll", poll_csv, "--out", out) == []
+    assert Path(out).read_text(encoding="utf-8").startswith("topic,n,k,raw,normalized\n")
 
 
 def test_commands_run_without_numpy(tmp_path, poll_csv, brexit_votes_csv, tweet_fixture):

@@ -13,6 +13,7 @@ from contention.errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribu
 from contention.model import (
     NO_STANCE,
     AssignmentSet,
+    ContentionResult,
     StanceCounts,
     StanceSpace,
     SubpopulationFilter,
@@ -97,6 +98,40 @@ class TestExclusiveClosedForm:
         assert declared.k == 3 and observed.k == 2
         assert declared.raw == observed.raw
         assert observed.normalized == pytest.approx(declared.raw / 0.5)
+
+
+class TestContentionResult:
+    def test_fields_are_pinned(self):
+        assert [f.name for f in fields(ContentionResult)] == [
+            "raw", "normalized", "k", "population", "method", "samples", "seed", "filter",
+        ]
+
+    def test_complements_are_exact_and_results_are_slotted(self):
+        people = AssignmentSet.from_stance_ids(TWO, [["a"], ["b"], ["a", "b"], [], ["a"]])
+        results = [
+            contention_exclusive(counts(13, 29, 57)),
+            contention_general(people),
+            contention_sampled(people, 1000, 3),
+            sampled_from_counts(counts(13, 29, 57), 1000, 3),
+        ]
+        for result in results:
+            assert result.non_contention_raw == 1.0 - result.raw
+            assert result.non_contention_normalized == 1.0 - result.normalized
+            assert not hasattr(result, "__dict__")
+            assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_unknown_k_mode_rejected(self):
+        with pytest.raises(ValueError, match="k_mode"):
+            contention_exclusive(counts(1, 2, 3), k_mode="bogus")
+
+    def test_observed_k_counted_only_under_observed(self, monkeypatch):
+        seen = []
+        observed_k = StanceCounts.observed_k.fget
+        monkeypatch.setattr(StanceCounts, "observed_k",
+                            property(lambda c: seen.append(c) or observed_k(c)))
+        c = counts(4, 50, 0)
+        assert contention_exclusive(c).k == 2 and seen == []
+        assert contention_exclusive(c, k_mode="observed").k == 1 and seen == [c]
 
 
 class TestGeneralModel:
@@ -197,7 +232,7 @@ class TestRestrict:
         c = counts(10, 20, 30)
         sliced = restrict(c, SubpopulationFilter())
         assert sliced.counts == c.counts
-        assert sliced.filter is not None and sliced.filter.is_always_true
+        assert sliced.filter is not None and sliced.filter.criteria == ()
 
     def test_single_group_slice_has_zero_contention(self):
         sliced = restrict(counts(10, 20, 30), SubpopulationFilter.of(stance=["a"]))
