@@ -8,6 +8,7 @@ by date or region id).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -46,7 +47,7 @@ def timeseries(series: DailySeries, *, k_mode: KMode = "declared") -> list[Serie
         n_stanced = sum(counts.explicit)
         raw_all = norm_all = raw_stanced = norm_stanced = None
         n_all = counts.total if day.has_total else None
-        k = _norm_k(counts.space.k, counts.observed_k, k_mode)
+        k = _norm_k(counts, k_mode)
         if day.has_total and counts.total > 0:
             result = contention_exclusive(counts, k_mode=k_mode)
             raw_all, norm_all = result.raw, result.normalized
@@ -101,8 +102,8 @@ def quadrant_points(
     raises.
     """
     lo, hi = float(scale[0]), float(scale[1])
-    if not lo < hi:
-        raise ValueError(f"importance scale must satisfy lo < hi, got ({lo}, {hi})")
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"importance scale needs lo < hi and finite hi - lo, got ({lo}, {hi})")
     points: list[QuadrantPoint] = []
     for topic, counts, importance in rows:
         if importance is None:

@@ -60,7 +60,8 @@ def _one_of(*words: str) -> Callable[[Any], str]:
 
 
 _BOOLEAN = _rule("JSON true or false", lambda v: isinstance(v, bool))
-_PATH = _rule("a path string without NUL", lambda v: isinstance(v, str) and "\0" not in v)
+_PATH = _rule("a non-empty path without NUL",
+              lambda v: isinstance(v, str) and v != "" and "\0" not in v)
 
 # every option: its default, and the one function that parses and checks its
 # value, as a flag's argparse ``type`` and for the same key in a config file.
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
         option(p, "normalize",
                help="normalize by the declared stance count or only the "
                     "observed nonzero one (default: declared)")
-        p.add_argument("--config",
+        p.add_argument("--config", type=_PATH,
                        help="JSON file mirroring these flags; explicit flags win")
         if sampled:
             option(p, "samples",
@@ -241,8 +242,8 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
             merged[key] = value
     if merged["importance_scale"] is not None:
         lo, hi = merged["importance_scale"]
-        if not lo < hi:
-            raise _UsageError(f"--importance-scale must satisfy LO < HI, got {lo} {hi}")
+        if not 0 < hi - lo < math.inf:
+            raise _UsageError(f"--importance-scale needs LO < HI and finite HI - LO, got {lo} {hi}")
     return merged
 
 

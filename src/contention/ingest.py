@@ -486,7 +486,7 @@ def _agree(seen: dict[str, V], topic: str, value: V, what: str) -> None:
 #: builds ten to that power, so past it the parse would cost time that
 #: grows with the exponent's value instead of the cell's length
 _PERCENT_EXPONENT_LIMIT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 
 
 def _percent_count(percent: Fraction, total: int) -> int:
@@ -530,6 +530,8 @@ def load_poll_topline(path: str | Path) -> list[tuple[str, StanceCounts]]:
         def parse(topic: str, sid: str, fields: list[str]) -> int:
             text = fields[at_percent]
             try:
+                if "_" in text:
+                    raise ValueError("Fraction reads a '_' digit separator only from Python 3.11")
                 exponent = _EXPONENT.search(text)
                 if exponent and abs(int(exponent[1])) > _PERCENT_EXPONENT_LIMIT:
                     raise ValueError(f"exponent past +-{_PERCENT_EXPONENT_LIMIT}")

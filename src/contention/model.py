@@ -54,7 +54,8 @@ size; the single final float division carries relative error ~1e-16.
 
 A ``ContentionResult`` holds eight slotted fields; ``non_contention_raw``
 and ``non_contention_normalized`` are properties computing ``1.0 - raw``
-and ``1.0 - normalized``.
+and ``1.0 - normalized``.  Every scorer finishes in one builder, ``_scored``,
+and counts ``observed_k`` only under ``k_mode="observed"``.
 """
 
 from __future__ import annotations
@@ -405,37 +406,34 @@ def normalize_contention(raw: float, k: int) -> float:
     return raw * k / (k - 1)
 
 
-def _norm_k(declared: int, observed: int, k_mode: KMode) -> int:
-    if k_mode == "observed":
-        return observed
+def _norm_k(of: StanceCounts | AssignmentSet, k_mode: KMode) -> int:
+    """The k that normalizes a score of ``of``: its space's declared k, or its
+    observed nonzero count, which is counted only under ``"observed"``."""
     if k_mode == "declared":
-        return declared
+        return of.space.k
+    if k_mode == "observed":
+        return of.observed_k
     raise ValueError(f"k_mode must be 'declared' or 'observed', got {k_mode!r}")
 
 
-def _result_from_ratio(
-    num: int,
-    den: int,
-    *,
-    k: int,
-    population: int,
-    method: Method,
-    samples: int | None = None,
-    seed: int | None = None,
-    flt: SubpopulationFilter | None = None,
-) -> ContentionResult:
+def _scored(num: int, den: int, of: StanceCounts | AssignmentSet, population: int,
+            method: Method, k_mode: KMode, samples: int | None = None,
+            seed: int | None = None) -> ContentionResult:
+    """The result of the score ``num / den`` of ``of``, normalized by the k
+    of ``k_mode`` and carrying ``of``'s filter."""
     # One division per score keeps the integer arithmetic exact up to the
     # final rounding, and makes the closed form and the general path agree
     # bit-for-bit on identical populations.  A sampled estimate (hits over
     # draws) is normalized from its rounded raw value instead: the two can
     # differ in the last bit, which moves printed digits of sampled runs
     # whose estimate sits on a rounding tie.
+    k = _norm_k(of, k_mode)
     raw = num / den
     if samples is None:
         normalized = (num * k) / (den * (k - 1)) if k >= 2 else 0.0
     else:
         normalized = normalize_contention(raw, k)
-    return ContentionResult(raw, normalized, k, population, method, samples, seed, flt)
+    return ContentionResult(raw, normalized, k, population, method, samples, seed, of.filter)
 
 
 def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") -> ContentionResult:
@@ -458,12 +456,7 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
     num = n_s * n_s - sum(x * x for x in g)
-    k = counts.space.k
-    if k_mode != "declared":  # observed_k is counted only when it is the k asked for
-        k = _norm_k(k, counts.observed_k, k_mode)
-    return _result_from_ratio(
-        num, n * n, k=k, population=n, method="exclusive-closed-form", flt=counts.filter
-    )
+    return _scored(num, n * n, counts, n, "exclusive-closed-form", k_mode)
 
 
 def _group_masks(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
@@ -508,10 +501,7 @@ def contention_general(assignments: AssignmentSet, *, k_mode: KMode = "declared"
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
     num = _conflicting_ordered_pairs(assignments)
-    k = _norm_k(assignments.space.k, assignments.observed_k, k_mode)
-    return _result_from_ratio(
-        num, n * n, k=k, population=n, method="general-exact", flt=assignments.filter
-    )
+    return _scored(num, n * n, assignments, n, "general-exact", k_mode)
 
 
 #: draws handled per step when sampled draws are mapped and counted
@@ -633,11 +623,7 @@ def contention_sampled(
     blocks = _draw_pairs(samples, dtype, lambda m: person_sig.take(
         rng.integers(0, n, size=m, dtype=drawn), mode="clip"))
     hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), blocks)
-    k = _norm_k(space.k, assignments.observed_k, k_mode)
-    return _result_from_ratio(
-        hits, samples, k=k, population=n, method="general-sampled",
-        samples=samples, seed=seed, flt=assignments.filter,
-    )
+    return _scored(hits, samples, assignments, n, "general-sampled", k_mode, samples, seed)
 
 
 def sampled_from_counts(
@@ -693,11 +679,7 @@ def sampled_from_counts(
         return stance
 
     hits = _count_hits(space.conflicts, _draw_pairs(samples, dtype, draw))
-    k = _norm_k(space.k, counts.observed_k, k_mode)
-    return _result_from_ratio(
-        hits, samples, k=k, population=n, method="general-sampled",
-        samples=samples, seed=seed, flt=counts.filter,
-    )
+    return _scored(hits, samples, counts, n, "general-sampled", k_mode, samples, seed)
 
 
 def restrict(data, flt: SubpopulationFilter):

@@ -254,6 +254,7 @@ class TestQuadrantPoints:
         with pytest.raises(ImportanceOutOfDeclaredRange):
             quadrant_points(rows, scale=(0, 10))
 
-    def test_bad_scale_rejected(self):
+    @pytest.mark.parametrize("scale", [(5, 5), (-1.7e308, 1.7e308)])
+    def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError):
-            quadrant_points([], scale=(5, 5))
+            quadrant_points([], scale=scale)

@@ -475,7 +475,7 @@ class TestQuadrantCommand:
         assert code == EX_USAGE and out == ""
         assert "--importance-scale" in err
 
-    @pytest.mark.parametrize("scale", [[0, "inf"], ["-Infinity", 10], [0, 1e309]])
+    @pytest.mark.parametrize("scale", [[0, "inf"], ["-Infinity", 10], [0, 1e309], [-1e308, 1e308]])
     def test_non_finite_config_scale_is_usage_error(self, quadrant_csv, tmp_path, scale, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({"importance_scale": scale}))
         code, out, err = run_cli(["quadrant", quadrant_csv, "--config", config], capsys)
@@ -529,7 +529,8 @@ class TestConfigAndHelp:
         assert json.loads(line) == {"error": "ConfigError",
                                     "message": f"config {config} must hold a JSON object"}
 
-    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--seed", "-1"],
+                                       ["--out", ""], ["--config", ""]])
     def test_bad_flag_value_is_usage_error(self, poll_csv, flags, capsys):
         code, out, _ = run_cli(["poll", poll_csv, *flags], capsys)
         assert code == EX_USAGE and out == ""
@@ -540,7 +541,7 @@ class TestConfigAndHelp:
         ("importance_scale", "0 10"), ("error_budget", "nan"), ("error_budget", -0.1),
         ("error_budget", 1.5), ("json", "false"), ("by_user", "no"), ("out", True),
         ("totals", 5), ("lexicon", ["x"]), ("out", "a\u0000b"), ("lexicon", "\u0000"),
-        ("totals", "totals.csv\u0000"),
+        ("totals", "totals.csv\u0000"), ("out", ""), ("totals", ""), ("lexicon", ""),
     ])
     def test_bad_config_value_is_usage_error(self, poll_csv, tmp_path, key, value, capsys):
         config = write(tmp_path, "cfg.json", json.dumps({key: value}))

@@ -153,6 +153,13 @@ class TestPollTopline:
         with pytest.raises(MalformedRow, match="^bad percentage in row "):
             load_poll_topline(path)
 
+    @pytest.mark.parametrize("cell", ["5_0", "1_0.5", "1e0_1", "1_0/2"])
+    def test_percent_digit_separator_is_malformed(self, tmp_path, cell):
+        # Fraction reads "5_0" as 50 only from Python 3.11; refused on every Python
+        path = write(tmp_path, "poll.csv", f"topic,stance,percent,total\nt,a,{cell},100\nt,b,5,100\n")
+        with pytest.raises(MalformedRow, match="^bad percentage in row "):
+            load_poll_topline(path)
+
     @pytest.mark.parametrize("cell", ["100.0001", "1e3", "1e1000", "2000/19"])
     def test_percent_above_100_is_malformed(self, tmp_path, cell):
         path = write(tmp_path, "poll.csv", f"topic,stance,percent,total\nt,a,{cell},100\nt,b,5,100\n")

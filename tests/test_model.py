@@ -5,11 +5,15 @@ import math
 import pickle
 import re
 from dataclasses import fields
+from datetime import date
+from functools import partial
 
 import pytest
 
 from contention import model
+from contention.analytics import timeseries
 from contention.errors import EmptyPopulation, NonExclusiveSpace, UnknownAttribute
+from contention.ingest import DailySeries, DaySlice
 from contention.model import (
     NO_STANCE,
     AssignmentSet,
@@ -33,6 +37,20 @@ TWO = StanceSpace.exclusive(["a", "b"])
 
 def counts(*values, space=None):
     return StanceCounts(space or TWO, values)
+
+
+#: 50 people hold "a" and 4 hold nothing: 1 of the 2 declared stances is observed
+SOME = counts(4, 50, 0)
+SOME_PEOPLE = AssignmentSet.from_stance_ids(TWO, [["a"]] * 50 + [[]] * 4)
+SERIES = DailySeries("t", (DaySlice(date(2016, 1, 1), SOME, True),))
+
+#: each scorer with an input, called as ``score(data, k_mode=...)``
+SCORERS = {
+    "exclusive": (contention_exclusive, SOME),
+    "general": (contention_general, SOME_PEOPLE),
+    "sampled": (partial(contention_sampled, samples=100, seed=3), SOME_PEOPLE),
+    "sampled-counts": (partial(sampled_from_counts, samples=100, seed=3), SOME),
+}
 
 
 class TestExclusiveClosedForm:
@@ -120,18 +138,28 @@ class TestContentionResult:
             assert not hasattr(result, "__dict__")
             assert pickle.loads(pickle.dumps(result)) == result
 
-    def test_unknown_k_mode_rejected(self):
+    @pytest.mark.parametrize("score, data", SCORERS.values(), ids=SCORERS)
+    def test_unknown_k_mode_rejected(self, score, data):
         with pytest.raises(ValueError, match="k_mode"):
-            contention_exclusive(counts(1, 2, 3), k_mode="bogus")
+            score(data, k_mode="bogus")
 
-    def test_observed_k_counted_only_under_observed(self, monkeypatch):
+    @pytest.mark.parametrize("score, data, counted", [
+        *((score, data, [data]) for score, data in SCORERS.values()),
+        (lambda series, **kw: timeseries(series, **kw)[0], SERIES,
+         [SOME, SOME, SOME.with_no_stance(0)]),
+    ], ids=[*SCORERS, "timeseries"])
+    def test_observed_k_counted_only_under_observed(self, monkeypatch, score, data, counted):
         seen = []
-        observed_k = StanceCounts.observed_k.fget
-        monkeypatch.setattr(StanceCounts, "observed_k",
-                            property(lambda c: seen.append(c) or observed_k(c)))
-        c = counts(4, 50, 0)
-        assert contention_exclusive(c).k == 2 and seen == []
-        assert contention_exclusive(c, k_mode="observed").k == 1 and seen == [c]
+        for cls in (StanceCounts, AssignmentSet):
+            monkeypatch.setattr(cls, "observed_k", property(
+                lambda c, observed_k=cls.observed_k.fget: seen.append(c) or observed_k(c)))
+        assert score(data).k == 2 and seen == []
+        assert score(data, k_mode="observed").k == 1 and seen == counted
+
+    def test_sampled_without_seed_reports_its_draws(self):
+        people = AssignmentSet.from_stance_ids(TWO, [["a"], ["b"]])
+        for result in (contention_sampled(people, 100, None), sampled_from_counts(SOME, 100, None)):
+            assert (result.method, result.samples, result.seed) == ("general-sampled", 100, None)
 
 
 class TestGeneralModel:

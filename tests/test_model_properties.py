@@ -12,6 +12,7 @@ from contention.errors import EmptyPopulation
 from contention.model import (
     NO_STANCE,
     AssignmentSet,
+    ContentionResult,
     StanceCounts,
     StanceSpace,
     SubpopulationFilter,
@@ -19,6 +20,7 @@ from contention.model import (
     contention_general,
     contention_sampled,
     max_contention,
+    normalize_contention,
     restrict,
     sampled_from_counts,
 )
@@ -219,9 +221,9 @@ def _reference_general(people, k_mode):
             if masks[b] & opposing[a]:
                 total += 2 * sizes[a] * sizes[b]
     n = people.n
-    k = model._norm_k(people.space.k, _reference_observed_k(people), k_mode)
-    return model._result_from_ratio(total, n * n, k=k, population=n, method="general-exact",
-                                    flt=people.filter)
+    k = people.space.k if k_mode == "declared" else _reference_observed_k(people)
+    normalized = total * k / (n * n * (k - 1)) if k >= 2 else 0.0
+    return ContentionResult(total / (n * n), normalized, k, n, "general-exact", filter=people.filter)
 
 
 def _reference_sampled(people, samples, seed, k_mode):
@@ -240,9 +242,9 @@ def _reference_sampled(people, samples, seed, k_mode):
     first = person_sig[rng.integers(0, n, size=samples)]
     second = person_sig[rng.integers(0, n, size=samples)]
     hits = int(conflict[first, second].sum())
-    k = model._norm_k(people.space.k, _reference_observed_k(people), k_mode)
-    return model._result_from_ratio(hits, samples, k=k, population=n, method="general-sampled",
-                                    samples=samples, seed=seed, flt=people.filter)
+    k = people.space.k if k_mode == "declared" else _reference_observed_k(people)
+    return ContentionResult(hits / samples, normalize_contention(hits / samples, k), k, n,
+                            "general-sampled", samples, seed, people.filter)
 
 
 def _reference_sampled_from_counts(counts, samples, seed, k_mode):
@@ -258,9 +260,9 @@ def _reference_sampled_from_counts(counts, samples, seed, k_mode):
     first = rng.choice(space.k + 1, size=samples, p=weights)
     second = rng.choice(space.k + 1, size=samples, p=weights)
     hits = int(matrix[first, second].sum())
-    k = model._norm_k(space.k, counts.observed_k, k_mode)
-    return model._result_from_ratio(hits, samples, k=k, population=n, method="general-sampled",
-                                    samples=samples, seed=seed, flt=counts.filter)
+    k = space.k if k_mode == "declared" else sum(1 for c in counts.counts[1:] if c)
+    return ContentionResult(hits / samples, normalize_contention(hits / samples, k), k, n,
+                            "general-sampled", samples, seed, counts.filter)
 
 
 def _reference_to_counts(people):
