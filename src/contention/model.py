@@ -54,8 +54,9 @@ size; the single final float division carries relative error ~1e-16.
 
 A ``ContentionResult`` holds eight slotted fields; ``non_contention_raw``
 and ``non_contention_normalized`` are properties computing ``1.0 - raw``
-and ``1.0 - normalized``.  Every scorer finishes in one builder, ``_scored``,
-and counts ``observed_k`` only under ``k_mode="observed"``.
+and ``1.0 - normalized``.  Every scorer reads its k through ``_norm_k``
+before any draw, counting ``observed_k`` only under ``k_mode="observed"``,
+and finishes in one builder, ``_scored``.
 """
 
 from __future__ import annotations
@@ -417,17 +418,16 @@ def _norm_k(of: StanceCounts | AssignmentSet, k_mode: KMode) -> int:
 
 
 def _scored(num: int, den: int, of: StanceCounts | AssignmentSet, population: int,
-            method: Method, k_mode: KMode, samples: int | None = None,
+            method: Method, k: int, samples: int | None = None,
             seed: int | None = None) -> ContentionResult:
-    """The result of the score ``num / den`` of ``of``, normalized by the k
-    of ``k_mode`` and carrying ``of``'s filter."""
+    """The result of the score ``num / den`` of ``of``, normalized by ``k``
+    and carrying ``of``'s filter."""
     # One division per score keeps the integer arithmetic exact up to the
     # final rounding, and makes the closed form and the general path agree
     # bit-for-bit on identical populations.  A sampled estimate (hits over
     # draws) is normalized from its rounded raw value instead: the two can
     # differ in the last bit, which moves printed digits of sampled runs
     # whose estimate sits on a rounding tie.
-    k = _norm_k(of, k_mode)
     raw = num / den
     if samples is None:
         normalized = (num * k) / (den * (k - 1)) if k >= 2 else 0.0
@@ -455,8 +455,9 @@ def contention_exclusive(counts: StanceCounts, *, k_mode: KMode = "declared") ->
     n = n_s + counts.counts[0]
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
+    k = _norm_k(counts, k_mode)
     num = n_s * n_s - sum(x * x for x in g)
-    return _scored(num, n * n, counts, n, "exclusive-closed-form", k_mode)
+    return _scored(num, n * n, counts, n, "exclusive-closed-form", k)
 
 
 def _group_masks(assignments: AssignmentSet) -> tuple[list[int], list[int]]:
@@ -500,8 +501,9 @@ def contention_general(assignments: AssignmentSet, *, k_mode: KMode = "declared"
     n = assignments.n
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
+    k = _norm_k(assignments, k_mode)
     num = _conflicting_ordered_pairs(assignments)
-    return _scored(num, n * n, assignments, n, "general-exact", k_mode)
+    return _scored(num, n * n, assignments, n, "general-exact", k)
 
 
 #: draws handled per step when sampled draws are mapped and counted
@@ -601,6 +603,7 @@ def contention_sampled(
     n = assignments.n
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
+    k = _norm_k(assignments, k_mode)  # before any draw
     import numpy as np
 
     space = assignments.space
@@ -623,7 +626,7 @@ def contention_sampled(
     blocks = _draw_pairs(samples, dtype, lambda m: person_sig.take(
         rng.integers(0, n, size=m, dtype=drawn), mode="clip"))
     hits = _count_word_hits(_words(opposing, space.k), _words(masks, space.k), blocks)
-    return _scored(hits, samples, assignments, n, "general-sampled", k_mode, samples, seed)
+    return _scored(hits, samples, assignments, n, "general-sampled", k, samples, seed)
 
 
 def sampled_from_counts(
@@ -650,6 +653,7 @@ def sampled_from_counts(
     n = counts.total
     if n == 0:
         raise EmptyPopulation("contention is undefined for an empty population")
+    k = _norm_k(counts, k_mode)  # before any draw
     import numpy as np
 
     space = counts.space
@@ -679,7 +683,7 @@ def sampled_from_counts(
         return stance
 
     hits = _count_hits(space.conflicts, _draw_pairs(samples, dtype, draw))
-    return _scored(hits, samples, counts, n, "general-sampled", k_mode, samples, seed)
+    return _scored(hits, samples, counts, n, "general-sampled", k, samples, seed)
 
 
 def restrict(data, flt: SubpopulationFilter):

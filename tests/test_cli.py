@@ -154,15 +154,6 @@ class TestPollCommand:
         assert record["error"] == "MalformedRow"
         assert record["message"].startswith(f"{path}, line 2: field larger than field limit")
 
-    def test_repeated_count_column_is_data_error(self, tmp_path, capsys):
-        # read as csv.DictReader reads it, the second 'count' column was scored (n=8)
-        path = write(tmp_path, "poll.csv", "topic,stance,count,count\nt,a,5,7\nt,b,3,1\n")
-        code, out, err = run_cli(["poll", path], capsys)
-        assert code == EX_DATA and out == ""
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "MalformedRow", "message": f"{path}: header repeats column(s) ['count']"}
-        ]
-
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_split_topic_is_scored_whole(self, tmp_path, flags, capsys):
         # topic a's rows come on both sides of topic b's
@@ -172,18 +163,10 @@ class TestPollCommand:
         whole = write(tmp_path, "whole.csv", "topic,stance,count\na,x,3\na,__none__,0\na,y,6\n"
                       "b,x,4\nb,y,5\n")
         assert (code, out) == (0, run_cli(["poll", whole, *flags], capsys)[1])
-        assert out.splitlines()[-2:] in (
-            ["a,9,2,0.444444,0.888889", "b,9,2,0.493827,0.987654"],
-            ['{"topic": "a", "n": 9, "k": 2, "raw": 0.444444, "normalized": 0.888889}',
-             '{"topic": "b", "n": 9, "k": 2, "raw": 0.493827, "normalized": 0.987654}'])
-
-    def test_duplicate_stance_across_a_split_topic_is_data_error(self, tmp_path, capsys):
-        path = write(tmp_path, "poll.csv", "topic,stance,count\nt,s,3\nt,r,2\nu,s,4\nt,s,5\n")
-        code, out, err = run_cli(["poll", path], capsys)
-        assert code == EX_DATA and out == ""
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "DuplicateStanceRow", "message": "t/s appears twice"}
-        ]
+        assert out in (
+            "topic,n,k,raw,normalized\na,9,2,0.444444,0.888889\nb,9,2,0.493827,0.987654\n",
+            '{"topic": "a", "n": 9, "k": 2, "raw": 0.444444, "normalized": 0.888889}\n'
+            '{"topic": "b", "n": 9, "k": 2, "raw": 0.493827, "normalized": 0.987654}\n')
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_population_too_long_to_write_is_data_error(self, tmp_path, flags, capsys):
@@ -195,15 +178,6 @@ class TestPollCommand:
         assert [json.loads(line) for line in err.splitlines()] == [
             {"error": "ResultTooLarge",
              "message": f"a result has more than {limit} digits, too many to write as text"}
-        ]
-
-    def test_percent_totals_that_disagree_are_data_error(self, tmp_path, capsys):
-        path = write(tmp_path, "percent.csv",
-                     "topic,stance,percent,total\nt,a,50,1000\nt,b,50,999\n")
-        code, out, err = run_cli(["poll", path], capsys)
-        assert code == EX_DATA and out == ""
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "MalformedRow", "message": "topic 't' carries conflicting respondent totals"}
         ]
 
     def test_sampled_estimator_deterministic(self, poll_csv, capsys):
@@ -266,17 +240,6 @@ class TestVotesCommand:
         assert code == 0
         rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
         assert rows["us"][4] == "0.31"
-
-    def test_eligible_below_a_ballot_total_too_long_to_write(self, tmp_path, capsys):
-        limit = sys.get_int_max_str_digits()
-        path = write(tmp_path, "votes.csv",
-                     f"region,option,count\nr1,a,{'9' * limit}\nr1,b,7\nr1,__eligible__,30\n")
-        code, out, err = run_cli(["votes", path], capsys)
-        assert code == EX_DATA and out == ""
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "EligibleLessThanVotes",
-             "message": f"region 'r1': eligible 30 < more than {limit} digits of ballots cast"}
-        ]
 
     def test_turnout_ballots_gives_two_candidate_value(self, us_votes_csv, capsys):
         code, out, _ = run_cli(["votes", us_votes_csv, "--precision", "2"], capsys)
@@ -521,14 +484,6 @@ class TestConfigAndHelp:
         assert code == EX_DATA
         assert json.loads(err.strip())["error"] == "ConfigError"
 
-    def test_config_that_is_not_an_object_is_config_error(self, poll_csv, tmp_path, capsys):
-        config = write(tmp_path, "cfg.json", "[]")
-        code, out, err = run_cli(["poll", poll_csv, "--config", config], capsys)
-        assert (code, out) == (EX_DATA, "")
-        [line] = err.splitlines()
-        assert json.loads(line) == {"error": "ConfigError",
-                                    "message": f"config {config} must hold a JSON object"}
-
     @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--seed", "-1"],
                                        ["--out", ""], ["--config", ""]])
     def test_bad_flag_value_is_usage_error(self, poll_csv, flags, capsys):
@@ -587,6 +542,13 @@ class TestEntryPoint:
     def test_module_invocation_usage_error(self):
         proc = _python("-m", "contention", "poll", "--bogus-flag")
         assert proc.returncode == EX_USAGE
+
+    def test_module_invocation_data_error(self, tmp_path):
+        path = write(tmp_path, "votesdup.csv", INPUTS["votesdup.csv"])
+        proc = _python("-m", "contention", "votes", path)
+        _, error, message = DATA_ERRORS["votes-duplicate-option-across-split-region"]
+        assert (proc.returncode, proc.stdout) == (EX_DATA, "")
+        assert proc.stderr == json.dumps({"error": error, "message": message}) + "\n"
 
     def test_module_invocation_help(self):
         proc = _python("-m", "contention", "--help")
@@ -674,201 +636,335 @@ def test_sampled_poll_runs_with_numpy(poll_csv, capsys):
     assert code == 0 and out.startswith("topic,n,k,raw,normalized\nevolution,100,2,")
 
 
-# -- golden output ------------------------------------------------------------------
+# -- golden output and error records ----------------------------------------------
 #
-# stdout of every subcommand on small fixtures, pinned byte for byte: a change
-# to loading, scoring or writing that moves one printed digit fails here, and
-# the strings are not to be regenerated to make it pass.
+# GOLDEN pins stdout and stderr of exit-0 runs byte for byte: a change to
+# loading, scoring or writing that moves one printed digit fails here, and the
+# strings are not to be regenerated to make it pass.  DATA_ERRORS pins exit-2
+# runs: empty stdout and exactly one JSON error record.  Each case runs in a
+# directory holding INPUTS and the fixture files, so its paths are as written.
 
-GOLDEN_PERCENT_POLL = (
-    "topic,stance,percent,total\n"
-    "brexit,leave,51.9,1000\n"
-    "brexit,remain,48.1,1000\n"
-    "parks,yes,93.0116,812\n"
-    "parks,no,6.9884,812\n"
-    "parks,__none__,0.5,812\n"
-    "school,a,40,7\n"
-    "school,b,35,7\n"
-    "school,c,25,7\n"
+LIMIT = sys.get_int_max_str_digits()
+
+INPUTS = {
+    "percent.csv": (
+        "topic,stance,percent,total\n"
+        "brexit,leave,51.9,1000\n"
+        "brexit,remain,48.1,1000\n"
+        "parks,yes,93.0116,812\n"
+        "parks,no,6.9884,812\n"
+        "parks,__none__,0.5,812\n"
+        "school,a,40,7\n"
+        "school,b,35,7\n"
+        "school,c,25,7\n"
+    ),
+    "quadrant.csv": (
+        "topic,stance,count,importance\n"
+        "national-parks,yes,930116,6.1\n"
+        "national-parks,no,69884,6.1\n"
+        "checks,yes,7,8.5\n"
+        "checks,no,2,8.5\n"
+        "checks,maybe,1,8.5\n"
+        "checks,__none__,4,8.5\n"
+    ),
+    # a sampled estimate whose normalized score sits on a rounding tie at 6 decimals
+    # (4000 draws, seed 6), so it prints the digits of the exact float operations
+    "tie.csv": "topic,stance,count\ntie,a,5\ntie,b,4\ntie,c,3\ntie,d,2\ntie,e,1\ntie,__none__,3\n",
+    "topline.csv": "topic,stance,count\nbrexit,leave,519\nbrexit,remain,481\n",
+    "eligible.csv": (
+        "region,option,count\n"
+        "north,a,30\nnorth,b,20\nnorth,__rejected__,3\nnorth,__eligible__,100\n"
+        "south,b,9\nsouth,a,1\nsouth,__none__,2\nsouth,__eligible__,40\n"
+    ),
+    # us's rows come on both sides of uk's, its __eligible__ row after the
+    # split: us is scored whole, over the file's one space of four options
+    "votesplit.csv": (
+        "region,option,count\n"
+        "us,clinton,65853514\nus,trump,62984828\n"
+        "uk,leave,17410742\nuk,remain,16141241\nuk,__eligible__,46500001\n"
+        "us,__none__,7830934\nus,__eligible__,230585915\n"
+    ),
+    # saved with a byte-order mark, and a non-ASCII hashtag
+    "cafe.json": '\ufeff{"topic": "coffee", "stances": [{"id": "cafe", "label": "Café", '
+                 '"hashtags": ["Café"]}, {"id": "tea", "hashtags": ["tea"]}]}\n',
+    # the same lexicon without its labels, written by json.dump
+    "cafe-unlabelled.json": '{"topic": "coffee", "stances": [{"id": "cafe", "hashtags": '
+                            '["Caf\\u00e9"]}, {"id": "tea", "hashtags": ["tea"]}]}',
+    # the third tweet's -05:00 offset moves it to the next UTC day, and the
+    # fifth hits both stances, so it stays untagged
+    "cafe.jsonl": (
+        '{"id": "1", "ts": "2016-06-21T08:00:00Z", "user": "u1", "hashtags": ["#CAFÉ"]}\n'
+        '{"id": "2", "ts": "2016-06-21T09:00:00+00:00", "user": "u2", "hashtags": ["Tea"]}\n'
+        '{"id": "3", "ts": "2016-06-21T22:30:00-05:00", "user": "u3", "hashtags": ["café"]}\n'
+        '{"id": "4", "ts": "2016-06-22T10:00:00-05:00", "user": "u4", "hashtags": ["#tea", "other"]}\n'
+        '{"id": "5", "ts": "2016-06-22T12:00:00Z", "user": "u5", "hashtags": ["tea", "#Café"]}\n'
+    ),
+    # two shards: u2 tags both stances, one in each, so is dropped from both
+    # days under --by-user; u1 is counted on both
+    "users-a.jsonl": (
+        '{"id": "6", "ts": "2016-06-21T08:00:00Z", "user": "u1", "hashtags": ["café"]}\n'
+        '{"id": "7", "ts": "2016-06-21T09:00:00Z", "user": "u2", "hashtags": ["tea"]}\n'
+    ),
+    "users-b.jsonl": (
+        '{"id": "8", "ts": "2016-06-22T08:00:00Z", "user": "u1", "hashtags": ["#Café"]}\n'
+        '{"id": "9", "ts": "2016-06-22T09:00:00Z", "user": "u2", "hashtags": ["café"]}\n'
+        '{"id": "10", "ts": "2016-06-22T10:00:00Z", "user": "u3", "hashtags": ["tea"]}\n'
+    ),
+    "nolayout.csv": "topic,stance,total\nt,a,5\n",
+    "nolayout-empty.csv": "topic,stance,total\n",
+    # read as csv.DictReader reads it, the second 'count' column was scored (n=8)
+    "repeated.csv": "topic,stance,count,count\nt,a,5,7\nt,b,3,1\n",
+    "disagree.csv": "topic,stance,percent,total\nt,a,50,1000\nt,b,50,999\n",
+    # malformed on every Python, though 3.11's Fraction reads '5_0'
+    "separator.csv": "topic,stance,percent,total\nb,l,5_0,1000\nb,r,50,1000\n",
+    "splitdup.csv": "topic,stance,count\nt,s,3\nt,r,2\nu,s,4\nt,s,5\n",
+    "votesdup.csv": "region,option,count\nus,clinton,3\nus,trump,2\nuk,clinton,4\nus,clinton,5\n",
+    # the second topic has no rating, and the first is scored before it is read
+    "norating.csv": (
+        "topic,stance,count,importance\n"
+        "brexit,leave,519,8\nbrexit,remain,481,8\nparks,more,70,\nparks,fewer,20,\n"
+    ),
+    # one hashtag, spelled two ways, under two stances
+    "dup.json": '{"topic": "t", "stances": [{"id": "a", "hashtags": ["Same"]}, '
+                '{"id": "b", "hashtags": ["#same"]}]}\n',
+    "empty.json": '{"topic": "t", "stances": [{"id": "", "hashtags": ["x"]}, '
+                  '{"id": "b", "hashtags": ["y"]}]}\n',
+    "list.json": "[]",
+    # a count with as many digits as int() reads
+    "toolong.csv": f"region,option,count\nr1,a,{'9' * LIMIT}\nr1,b,7\nr1,__eligible__,30\n",
+}
+
+# the stderr summary of the fixture stream, over its two days or the three of
+# its totals
+TWEETS_SUMMARY = "# tweets: 9 parsed, 0 parse errors (0.00%)\n# tagged: leave=5 remain=3\n# days: {}\n"
+CAFE_TWEETS = (
+    "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+    "2016-06-21,,2,2,,,0.500000,1.000000\n"
+    "2016-06-22,,2,2,,,0.500000,1.000000\n"
 )
-
-GOLDEN_QUADRANT = (
-    "topic,stance,count,importance\n"
-    "national-parks,yes,930116,6.1\n"
-    "national-parks,no,69884,6.1\n"
-    "checks,yes,7,8.5\n"
-    "checks,no,2,8.5\n"
-    "checks,maybe,1,8.5\n"
-    "checks,__none__,4,8.5\n"
-)
-
-# a sampled estimate whose normalized score sits on a rounding tie at 6 decimals
-# (4000 draws, seed 6), so it prints the digits of the exact float operations
-GOLDEN_TIE_POLL = (
-    "topic,stance,count\n"
-    "tie,a,5\ntie,b,4\ntie,c,3\ntie,d,2\ntie,e,1\ntie,__none__,3\n"
-)
-
-# the topline poll of the CI console-script check, sampled past three blocks
-GOLDEN_TOPLINE_POLL = "topic,stance,count\nbrexit,leave,519\nbrexit,remain,481\n"
-
-GOLDEN_ELIGIBLE_VOTES = (
-    "region,option,count\n"
-    "north,a,30\nnorth,b,20\nnorth,__rejected__,3\nnorth,__eligible__,100\n"
-    "south,b,9\nsouth,a,1\nsouth,__none__,2\nsouth,__eligible__,40\n"
-)
+CAFE_SUMMARY = "# tweets: 5 parsed, 0 parse errors (0.00%)\n# tagged: cafe=2 tea=2\n# days: 2\n"
 
 GOLDEN = {
     "poll-counts-csv": (
-        ["poll", "{poll}"],
+        ["poll", "poll.csv"],
         "topic,n,k,raw,normalized\n"
         "evolution,100,2,0.039200,0.078400\n",
     ),
     "poll-counts-json": (
-        ["poll", "{poll}", "--json"],
+        ["poll", "poll.csv", "--json"],
         '{"topic": "evolution", "n": 100, "k": 2, "raw": 0.0392, "normalized": 0.0784}\n',
     ),
+    "poll-topline": (
+        ["poll", "topline.csv"],
+        "topic,n,k,raw,normalized\n"
+        "brexit,1000,2,0.499278,0.998556\n",
+    ),
     "poll-percent-csv": (
-        ["poll", "{percent}"],
+        ["poll", "percent.csv"],
         "topic,n,k,raw,normalized\n"
         "brexit,1000,2,0.499278,0.998556\n"
         "parks,816,2,0.129262,0.258524\n"
         "school,7,3,0.653061,0.979592\n",
     ),
     "poll-percent-json": (
-        ["poll", "{percent}", "--json"],
+        ["poll", "percent.csv", "--json"],
         '{"topic": "brexit", "n": 1000, "k": 2, "raw": 0.499278, "normalized": 0.998556}\n'
         '{"topic": "parks", "n": 816, "k": 2, "raw": 0.129262, "normalized": 0.258524}\n'
         '{"topic": "school", "n": 7, "k": 3, "raw": 0.653061, "normalized": 0.979592}\n',
     ),
     "poll-sampled": (
-        ["poll", "{poll}", "--samples", "20000", "--seed", "9"],
+        ["poll", "poll.csv", "--samples", "20000", "--seed", "9"],
         "topic,n,k,raw,normalized\n"
         "evolution,100,2,0.041100,0.082200\n",
     ),
     "poll-percent-sampled": (
-        ["poll", "{percent}", "--samples", "3001", "--seed", "5"],
+        ["poll", "percent.csv", "--samples", "3001", "--seed", "5"],
         "topic,n,k,raw,normalized\n"
         "brexit,1000,2,0.491503,0.983006\n"
         "parks,816,2,0.127624,0.255248\n"
         "school,7,3,0.661779,0.992669\n",
     ),
     "poll-sampled-tie": (
-        ["poll", "{tie}", "--samples", "4000", "--seed", "6"],
+        ["poll", "tie.csv", "--samples", "4000", "--seed", "6"],
         "topic,n,k,raw,normalized\n"
         "tie,18,5,0.528750,0.660938\n",
     ),
     "poll-sampled-past-three-blocks": (
-        ["poll", "{topline}", "--samples", "200003", "--seed", "9"],
+        ["poll", "topline.csv", "--samples", "200003", "--seed", "9"],
         "topic,n,k,raw,normalized\n"
         "brexit,1000,2,0.499813,0.999625\n",
     ),
     "votes-ballots": (
-        ["votes", "{brexit}", "--turnout", "ballots"],
+        ["votes", "brexit.csv", "--turnout", "ballots"],
         "region,n,k,raw,normalized\n"
         "__all__,85055,2,0.499537,0.999073\n"
         "dover,64910,2,0.469961,0.939922\n"
         "gibraltar,20145,2,0.078370,0.156739\n",
     ),
     "votes-us-ballots": (
-        ["votes", "{us}", "--turnout", "ballots"],
+        ["votes", "us.csv", "--turnout", "ballots"],
         "region,n,k,raw,normalized\n"
         "__all__,136669276,2,0.444123,0.888246\n"
         "us,136669276,2,0.444123,0.888246\n",
     ),
     "votes-us-eligible": (
-        ["votes", "{us}", "--turnout", "eligible"],
+        ["votes", "us.csv", "--turnout", "eligible"],
         "region,n,k,raw,normalized\n"
         "__all__,230585915,2,0.156020,0.312039\n"
         "us,230585915,2,0.156020,0.312039\n",
     ),
     "votes-eligible-regions": (
-        ["votes", "{eligible}", "--turnout", "eligible"],
+        ["votes", "eligible.csv", "--turnout", "eligible"],
         "region,n,k,raw,normalized\n"
         "__all__,140,2,0.091735,0.183469\n"
         "north,100,2,0.120000,0.240000\n"
         "south,40,2,0.011250,0.022500\n",
     ),
     "votes-eligible-regions-json": (
-        ["votes", "{eligible}", "--turnout", "eligible", "--json"],
+        ["votes", "eligible.csv", "--turnout", "eligible", "--json"],
         '{"region": "__all__", "n": 140, "k": 2, "raw": 0.091735, "normalized": 0.183469}\n'
         '{"region": "north", "n": 100, "k": 2, "raw": 0.12, "normalized": 0.24}\n'
         '{"region": "south", "n": 40, "k": 2, "raw": 0.01125, "normalized": 0.0225}\n',
     ),
+    "votes-eligible-split-region": (
+        ["votes", "votesplit.csv", "--turnout", "eligible"],
+        "region,n,k,raw,normalized\n"
+        "__all__,277085916,4,0.227975,0.303967\n"
+        "uk,46500001,4,0.259943,0.346591\n"
+        "us,230585915,4,0.156020,0.208026\n",
+    ),
     "votes-sampled": (
-        ["votes", "{brexit}", "--samples", "5000", "--seed", "3"],
+        ["votes", "brexit.csv", "--samples", "5000", "--seed", "3"],
         "region,n,k,raw,normalized\n"
         "__all__,85055,2,0.501200,1.002400\n"
         "dover,64910,2,0.477400,0.954800\n"
         "gibraltar,20145,2,0.091000,0.182000\n",
     ),
     "quadrant": (
-        ["quadrant", "{quadrant}", "--importance-scale", "0", "10"],
+        ["quadrant", "quadrant.csv", "--importance-scale", "0", "10"],
         "topic,contention,importance\n"
         "national-parks,0.260001,0.610000\n"
         "checks,0.352041,0.850000\n",
     ),
     "quadrant-json": (
-        ["quadrant", "{quadrant}", "--importance-scale", "0", "10", "--json"],
+        ["quadrant", "quadrant.csv", "--importance-scale", "0", "10", "--json"],
         '{"topic": "national-parks", "contention": 0.260001, "importance": 0.61}\n'
         '{"topic": "checks", "contention": 0.352041, "importance": 0.85}\n',
     ),
     "tweets": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json"],
         "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
         "2016-06-21,,4,2,,,0.375000,0.750000\n"
         "2016-06-22,,4,2,,,0.500000,1.000000\n",
+        TWEETS_SUMMARY.format(2),
     ),
     "tweets-totals": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json", "--totals", "totals.csv"],
         "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
         "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
         "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
         "2016-06-23,5,0,2,0.000000,0.000000,,\n",
+        TWEETS_SUMMARY.format(3),
     ),
     "tweets-by-user": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--by-user"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json", "--by-user"],
         "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
         "2016-06-21,,4,2,,,0.375000,0.750000\n"
         "2016-06-22,,4,2,,,0.500000,1.000000\n",
+        TWEETS_SUMMARY.format(2),
     ),
     "tweets-by-user-totals": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--by-user", "--totals", "{totals}"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json", "--by-user", "--totals", "totals.csv"],
         "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
         "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
         "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
         "2016-06-23,5,0,2,0.000000,0.000000,,\n",
+        TWEETS_SUMMARY.format(3),
     ),
     "tweets-observed": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}", "--normalize", "observed"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json", "--totals", "totals.csv", "--normalize", "observed"],
         "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
         "2016-06-21,10,4,2,0.060000,0.120000,0.375000,0.750000\n"
         "2016-06-22,8,4,2,0.125000,0.250000,0.500000,1.000000\n"
         "2016-06-23,5,0,0,0.000000,0.000000,,\n",
+        TWEETS_SUMMARY.format(3),
     ),
     "tweets-json": (
-        ["tweets", "{stream}", "--lexicon", "{lexicon}", "--totals", "{totals}", "--json"],
+        ["tweets", "stream.jsonl", "--lexicon", "lexicon.json", "--totals", "totals.csv", "--json"],
         '{"date": "2016-06-21", "n_all": 10, "n_stanced": 4, "k": 2, "raw_all": 0.06, "norm_all": 0.12, "raw_stanced": 0.375, "norm_stanced": 0.75}\n'
         '{"date": "2016-06-22", "n_all": 8, "n_stanced": 4, "k": 2, "raw_all": 0.125, "norm_all": 0.25, "raw_stanced": 0.5, "norm_stanced": 1.0}\n'
         '{"date": "2016-06-23", "n_all": 5, "n_stanced": 0, "k": 2, "raw_all": 0.0, "norm_all": 0.0, "raw_stanced": null, "norm_stanced": null}\n',
+        TWEETS_SUMMARY.format(3),
+    ),
+    "tweets-bom-lexicon": (
+        ["tweets", "cafe.jsonl", "--lexicon", "cafe.json"], CAFE_TWEETS, CAFE_SUMMARY,
+    ),
+    # a stance's label is accepted and unused
+    "tweets-unlabelled-lexicon": (
+        ["tweets", "cafe.jsonl", "--lexicon", "cafe-unlabelled.json"], CAFE_TWEETS, CAFE_SUMMARY,
+    ),
+    "tweets-by-user-shards": (
+        ["tweets", "users-a.jsonl", "users-b.jsonl", "--lexicon", "cafe.json", "--by-user"],
+        "date,n_all,n_stanced,k,raw_all,norm_all,raw_stanced,norm_stanced\n"
+        "2016-06-21,,1,2,,,0.000000,0.000000\n"
+        "2016-06-22,,2,2,,,0.500000,1.000000\n",
+        "# tweets: 5 parsed, 0 parse errors (0.00%)\n# tagged: cafe=3 tea=2\n# days: 2\n",
     ),
 }
 
+DATA_ERRORS = {
+    "poll-no-count-or-percent": (
+        ["poll", "nolayout.csv"], "MalformedRow", "poll rows need a 'count' or 'percent' "
+        "column, got {'topic': 't', 'stance': 'a', 'total': '5'}"),
+    "poll-no-count-or-percent-empty": (
+        ["poll", "nolayout-empty.csv"], "EmptyInput", "nolayout-empty.csv: no data rows"),
+    "poll-repeated-count-column": (
+        ["poll", "repeated.csv"], "MalformedRow",
+        "repeated.csv: header repeats column(s) ['count']"),
+    "poll-percent-totals-disagree": (
+        ["poll", "disagree.csv"], "MalformedRow",
+        "topic 't' carries conflicting respondent totals"),
+    "poll-percent-digit-separator": (
+        ["poll", "separator.csv"], "MalformedRow", "bad percentage in row {'topic': 'b', "
+        "'stance': 'l', 'percent': '5_0', 'total': '1000'}"),
+    "poll-duplicate-stance-across-split-topic": (
+        ["poll", "splitdup.csv"], "DuplicateStanceRow", "t/s appears twice"),
+    "votes-duplicate-option-across-split-region": (
+        ["votes", "votesdup.csv"], "DuplicateStanceRow", "us/clinton appears twice"),
+    "votes-eligible-below-ballots-too-long-to-write": (
+        ["votes", "toolong.csv"], "EligibleLessThanVotes",
+        f"region 'r1': eligible 30 < more than {LIMIT} digits of ballots cast"),
+    "quadrant-second-topic-unrated": (
+        ["quadrant", "norating.csv", "--importance-scale", "0", "10"], "MissingImportance",
+        "topic 'parks' has no importance rating"),
+    "tweets-hashtag-under-two-stances": (
+        ["tweets", "cafe.jsonl", "--lexicon", "dup.json"], "MalformedRow",
+        "lexicon dup.json: hashtag #same appears under both 'a' and 'b'"),
+    "tweets-empty-stance-id": (
+        ["tweets", "cafe.jsonl", "--lexicon", "empty.json"], "MalformedRow",
+        "lexicon empty.json: stance id must be non-empty"),
+    "config-not-an-object": (
+        ["poll", "poll.csv", "--config", "list.json"], "ConfigError",
+        "config list.json must hold a JSON object"),
+}
+
+
+@pytest.fixture
+def case_dir(tmp_path, monkeypatch, poll_csv, brexit_votes_csv, us_votes_csv, tweet_fixture):
+    """tmp_path as the working directory, holding INPUTS and the fixture files."""
+    for name, text in INPUTS.items():
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_stdout(case, tmp_path, poll_csv, brexit_votes_csv, us_votes_csv,
-                       tweet_fixture, capsys):
-    stream, lexicon, totals = tweet_fixture
-    files = {
-        "poll": poll_csv, "brexit": brexit_votes_csv, "us": us_votes_csv,
-        "stream": stream, "lexicon": lexicon, "totals": totals,
-        "percent": write(tmp_path, "percent.csv", GOLDEN_PERCENT_POLL),
-        "quadrant": write(tmp_path, "quadrant.csv", GOLDEN_QUADRANT),
-        "eligible": write(tmp_path, "eligible.csv", GOLDEN_ELIGIBLE_VOTES),
-        "tie": write(tmp_path, "tie.csv", GOLDEN_TIE_POLL),
-        "topline": write(tmp_path, "topline.csv", GOLDEN_TOPLINE_POLL),
-    }
-    template, expected = GOLDEN[case]
-    code, out, _ = run_cli([arg.format(**files) for arg in template], capsys)
-    assert code == 0
-    assert out == expected
+def test_golden_stdout(case, case_dir, capsys):
+    argv, out, *err = GOLDEN[case]  # only tweets writes to stderr: its summary
+    assert run_cli(argv, capsys) == (0, out, "".join(err))
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_data_error_record(case, case_dir, capsys):
+    argv, error, message = DATA_ERRORS[case]
+    record = json.dumps({"error": error, "message": message})
+    assert run_cli(argv, capsys) == (EX_DATA, "", record + "\n")

@@ -139,7 +139,9 @@ class TestContentionResult:
             assert pickle.loads(pickle.dumps(result)) == result
 
     @pytest.mark.parametrize("score, data", SCORERS.values(), ids=SCORERS)
-    def test_unknown_k_mode_rejected(self, score, data):
+    def test_unknown_k_mode_rejected(self, monkeypatch, score, data):
+        # before any draw is made
+        monkeypatch.setattr(model, "_draw_pairs", lambda *args: pytest.fail("drew first"))
         with pytest.raises(ValueError, match="k_mode"):
             score(data, k_mode="bogus")
 
