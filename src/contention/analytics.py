@@ -9,19 +9,18 @@ by date or region id).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import EmptyInput, ImportanceOutOfDeclaredRange, MissingImportance
 from .ingest import DailySeries, RegionTable
 from .model import ContentionResult, KMode, StanceCounts, _norm_k, contention_exclusive
+from .model import _set, _Value
 
 if TYPE_CHECKING:
     from datetime import date
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(_Value):
     """One day of the two contention trends.
 
     ``*_all`` scores include the no-stance group (absent when the day has
@@ -29,14 +28,20 @@ class SeriesPoint:
     explicit stance (absent when nobody was tagged that day).
     """
 
-    date: date
-    n_all: int | None
-    n_stanced: int
-    k: int
-    raw_all: float | None
-    norm_all: float | None
-    raw_stanced: float | None
-    norm_stanced: float | None
+    __slots__ = __match_args__ = ("date", "n_all", "n_stanced", "k", "raw_all", "norm_all",
+                                  "raw_stanced", "norm_stanced")
+
+    def __init__(self, date: date, n_all: int | None, n_stanced: int, k: int,
+                 raw_all: float | None, norm_all: float | None,
+                 raw_stanced: float | None, norm_stanced: float | None) -> None:
+        _set(self, "date", date)
+        _set(self, "n_all", n_all)
+        _set(self, "n_stanced", n_stanced)
+        _set(self, "k", k)
+        _set(self, "raw_all", raw_all)
+        _set(self, "norm_all", norm_all)
+        _set(self, "raw_stanced", raw_stanced)
+        _set(self, "norm_stanced", norm_stanced)
 
 
 def timeseries(series: DailySeries, *, k_mode: KMode = "declared") -> list[SeriesPoint]:
@@ -79,13 +84,15 @@ def region_contention(
     return [(r.region, score(r.counts)) for r in sorted(table.rows, key=lambda r: r.region)]
 
 
-@dataclass(frozen=True, slots=True)
-class QuadrantPoint:
+class QuadrantPoint(_Value):
     """One topic in the contention-vs-importance plane, both axes in [0, 1]."""
 
-    topic: str
-    contention: float
-    importance: float
+    __slots__ = __match_args__ = ("topic", "contention", "importance")
+
+    def __init__(self, topic: str, contention: float, importance: float) -> None:
+        _set(self, "topic", topic)
+        _set(self, "contention", contention)
+        _set(self, "importance", importance)
 
 
 def quadrant_points(

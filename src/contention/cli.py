@@ -250,35 +250,29 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
 # -- output -----------------------------------------------------------------------
 
 def _write_records(records: Iterable[dict[str, Any]], cfg: Mapping[str, Any]) -> None:
-    """Write ``records``, at least one, built as they are written if lazy."""
+    """Write ``records``, at least one, built as they are written if lazy.
+    Every int they hold can be written as text: the one that can outgrow the
+    interpreter's digit limit, a population, is checked when it is scored."""
     precision = cfg["precision"]
 
     def emit(handle: TextIO) -> None:
-        try:
-            if cfg["json"]:
-                import json
+        if cfg["json"]:
+            import json
 
-                for record in records:
-                    rounded = {
-                        key: (round(v, precision) if isinstance(v, float) else v)
-                        for key, v in record.items()
-                    }
-                    handle.write(json.dumps(rounded) + "\n")
-            else:
-                writer = csv.writer(handle, lineterminator="\n")
-                for i, record in enumerate(records):
-                    if not i:
-                        writer.writerow(record.keys())
-                    # csv.writer writes an int as str() does and None as ""
-                    writer.writerow([f"{v:.{precision}f}" if isinstance(v, float) else v
-                                     for v in record.values()])
-        except ValueError as exc:
-            # str() and json.dumps refuse an integer longer than the
-            # interpreter's digit limit
-            raise ResultTooLarge(
-                f"a result has more than {sys.get_int_max_str_digits()} digits, "
-                "too many to write as text"
-            ) from exc
+            for record in records:
+                rounded = {
+                    key: (round(v, precision) if isinstance(v, float) else v)
+                    for key, v in record.items()
+                }
+                handle.write(json.dumps(rounded) + "\n")
+        else:
+            writer = csv.writer(handle, lineterminator="\n")
+            for i, record in enumerate(records):
+                if not i:
+                    writer.writerow(record.keys())
+                # csv.writer writes an int as str() does and None as ""
+                writer.writerow([f"{v:.{precision}f}" if isinstance(v, float) else v
+                                 for v in record.values()])
 
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
@@ -296,8 +290,14 @@ def _score(counts, cfg: Mapping[str, Any]):
 # -- subcommands --------------------------------------------------------------------
 
 def _score_row(name: str, result) -> tuple:
-    """One scored topic or region, as compact as the output allows."""
-    return name, result.population, result.k, result.raw, result.normalized
+    """One scored topic or region, as compact as the output allows.  A
+    population with more digits than ``str()`` and ``json.dumps`` write
+    raises ResultTooLarge here, so it stops the run before any output."""
+    n, limit = result.population, sys.get_int_max_str_digits()
+    # fewer than 3 * limit bits is fewer than limit digits: one cheap test a row
+    if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+        raise ResultTooLarge(f"a result has more than {limit} digits, too many to write as text")
+    return name, n, result.k, result.raw, result.normalized
 
 
 def _score_records(key: str, rows: Iterable[tuple]) -> Iterator[dict[str, Any]]:
@@ -343,7 +343,10 @@ def cmd_tweets(args: argparse.Namespace, cfg: Mapping[str, Any]) -> int:
     if not series.days:
         raise EmptyInput("no parseable tweets and no daily totals")
     points = analytics.timeseries(series, k_mode=cfg["normalize"])
-    _write_records([{**vars(p), "date": p.date.isoformat()} for p in points], cfg)
+    _write_records([{"date": p.date.isoformat(), "n_all": p.n_all, "n_stanced": p.n_stanced,
+                     "k": p.k, "raw_all": p.raw_all, "norm_all": p.norm_all,
+                     "raw_stanced": p.raw_stanced, "norm_stanced": p.norm_stanced}
+                    for p in points], cfg)
 
     error_pct = 100.0 * stats.parse_errors / stats.lines if stats.lines else 0.0
     print(f"# tweets: {stats.parsed} parsed, {stats.parse_errors} parse errors "

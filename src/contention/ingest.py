@@ -55,7 +55,6 @@ import re
 import sys
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -71,7 +70,7 @@ from .errors import (
     NegativeCount,
     TotalLessThanStanceCounts,
 )
-from .model import NO_STANCE, StanceCounts, StanceSpace
+from .model import NO_STANCE, StanceCounts, StanceSpace, _set, _Value
 
 if TYPE_CHECKING:
     from datetime import date
@@ -98,23 +97,23 @@ def normalize_hashtag(tag: str) -> str:
 
 # -- stance lexicons and tweets ------------------------------------------------
 
-@dataclass(frozen=True)
-class StanceLexicon:
+class StanceLexicon(_Value):
     """One topic's exclusive StanceSpace and read-only tag index, from each
     normalized hashtag to its one stance id.  A space that is not exclusive,
     or an index naming an id outside it, raises ValueError; ``from_json``
     reports a bad id or a hashtag under two stances as a MalformedRow."""
 
-    topic: str
-    space: StanceSpace
-    tag_index: Mapping[str, str] = field(hash=False)
+    __slots__ = __match_args__ = ("topic", "space", "tag_index")
+    _hashed = ("topic", "space")
 
-    def __post_init__(self) -> None:
-        if not self.space.is_exclusive():
+    def __init__(self, topic: str, space: StanceSpace, tag_index: Mapping[str, str]) -> None:
+        if not space.is_exclusive():
             raise ValueError("a lexicon's stances must be mutually exclusive")
-        if not set(self.tag_index.values()).issubset(self.space.ids):
+        if not set(tag_index.values()).issubset(space.ids):
             raise ValueError("a lexicon's tag index names a stance outside its space")
-        object.__setattr__(self, "tag_index", MappingProxyType(dict(self.tag_index)))
+        _set(self, "topic", topic)
+        _set(self, "space", space)
+        _set(self, "tag_index", MappingProxyType(dict(tag_index)))
 
     @classmethod
     def from_json(cls, path: str | Path) -> StanceLexicon:
@@ -167,14 +166,18 @@ def _stance_for(hashtags: Iterable[object], index: Mapping[str, str]) -> str | N
     return found
 
 
-@dataclass
-class StreamStats:
+class StreamStats(_Value):
     """Counters from one pass over tweet shards: each counted line is parsed
-    or a parse error, and ``tagged`` counts tweets per stance id."""
+    or a parse error, and ``tagged`` counts tweets per stance id; mutable, so unhashable."""
 
-    lines: int = 0
-    parse_errors: int = 0
-    tagged: dict[str, int] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("lines", "parse_errors", "tagged")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, lines: int = 0, parse_errors: int = 0,
+                 tagged: dict[str, int] | None = None) -> None:
+        self.lines = lines
+        self.parse_errors = parse_errors
+        self.tagged = {} if tagged is None else tagged
 
     @property
     def parsed(self) -> int:
@@ -252,53 +255,57 @@ def iter_tweet_stream(
 
 # -- daily series ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DaySlice:
+class DaySlice(_Value):
     """One UTC calendar day of counts; ``has_total`` marks a known G0 baseline."""
 
-    date: date
-    counts: StanceCounts
-    has_total: bool = True
+    __slots__ = __match_args__ = ("date", "counts", "has_total")
+
+    def __init__(self, date: date, counts: StanceCounts, has_total: bool = True) -> None:
+        _set(self, "date", date)
+        _set(self, "counts", counts)
+        _set(self, "has_total", has_total)
 
 
-@dataclass(frozen=True)
-class DailySeries:
+class DailySeries(_Value):
     """Date-keyed stance counts for one topic, strictly increasing dates."""
 
-    topic: str
-    days: tuple[DaySlice, ...]
+    __slots__ = __match_args__ = ("topic", "days")
 
-    def __post_init__(self) -> None:
-        dates = [d.date for d in self.days]
+    def __init__(self, topic: str, days: tuple[DaySlice, ...]) -> None:
+        dates = [d.date for d in days]
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValueError("days must be strictly increasing by date")
+        _set(self, "topic", topic)
+        _set(self, "days", days)
 
 
 # -- region tables ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(_Value):
     """One region's counts, with an optional eligible population."""
 
-    region: str
-    counts: StanceCounts
-    eligible: int | None = None
+    __slots__ = __match_args__ = ("region", "counts", "eligible")
+
+    def __init__(self, region: str, counts: StanceCounts, eligible: int | None = None) -> None:
+        _set(self, "region", region)
+        _set(self, "counts", counts)
+        _set(self, "eligible", eligible)
 
 
-@dataclass(frozen=True)
-class RegionTable:
+class RegionTable(_Value):
     """A topic's regions.  The table owns the ``__all__`` aggregate: rows
     given without one gain ``all_regions_row(rows)`` at the end."""
 
-    topic: str
-    rows: tuple[RegionRow, ...]
+    __slots__ = __match_args__ = ("topic", "rows")
 
-    def __post_init__(self) -> None:
-        ids = [r.region for r in self.rows]
+    def __init__(self, topic: str, rows: tuple[RegionRow, ...]) -> None:
+        ids = [r.region for r in rows]
         if len(set(ids)) != len(ids):
             raise ValueError("region ids must be unique")
         if ids and ALL_REGIONS not in ids:
-            object.__setattr__(self, "rows", (*self.rows, all_regions_row(self.rows)))
+            rows = (*rows, all_regions_row(rows))
+        _set(self, "topic", topic)
+        _set(self, "rows", rows)
 
 
 def all_regions_row(rows: Sequence[RegionRow]) -> RegionRow:

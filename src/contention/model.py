@@ -16,8 +16,8 @@ Conventions used throughout:
   normalized to [0, 1] by dividing by that maximum.  With k <= 1 the raw
   score is provably 0 and the normalized score is defined as 0.
 
-All types are frozen; every operation is a pure function, so values are
-safe to share across threads.
+All value types are frozen slotted classes (see ``_Value``); every
+operation is a pure function, so values are safe to share across threads.
 
 Every exclusive space of k stances shares one conflict matrix, held in the
 module memo ``_EXCLUSIVE_MATRICES`` (k -> the all-pairs pattern).  Each
@@ -64,7 +64,6 @@ from __future__ import annotations
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, repeat
 from typing import Iterable, Literal, Mapping, Sequence
@@ -76,6 +75,49 @@ NO_STANCE = "__none__"
 
 Method = Literal["exclusive-closed-form", "general-exact", "general-sampled"]
 KMode = Literal["declared", "observed"]
+
+
+#: how each ``__init__`` sets a field of a frozen value type
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the value types.  Each class names its constructor's fields in
+    ``__match_args__``, which ``repr``, ``match`` and pickling read, and holds
+    them in ``__slots__``, where no field can be assigned or deleted.  Values
+    are equal when of one class with equal ``_compared`` fields (all unless
+    the class names fewer); the hash reads ``_hashed`` (default the same)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = getattr(cls, "_compared", cls.__match_args__)
+        cls._hashed = getattr(cls, "_hashed", cls._compared)
+
+    def _values(self, names: Iterable[str]) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compared) == other._values(self._compared)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._hashed))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a value through its checked constructor
+        return type(self), self._values(self.__match_args__)
 
 
 class _StanceIndex(dict):
@@ -135,8 +177,7 @@ def _exclusive_matrix(k: int) -> tuple[tuple[bool, ...], ...]:
     return matrix
 
 
-@dataclass(frozen=True)
-class StanceSpace:
+class StanceSpace(_Value):
     """The explicit stance ids plus the implicit no-stance sentinel.
 
     ``conflicts`` is a dense (k+1) x (k+1) boolean matrix indexed like the
@@ -144,17 +185,17 @@ class StanceSpace:
     and rejects asymmetric input rather than silently symmetrizing.
     """
 
-    ids: tuple[str, ...]
-    conflicts: tuple[tuple[bool, ...], ...]
+    __slots__ = __match_args__ = ("ids", "conflicts")
 
-    def __post_init__(self) -> None:
-        ids = _checked_ids(self.ids)
+    def __init__(self, ids: Iterable[str], conflicts: Iterable[Iterable[object]]) -> None:
+        ids = _checked_ids(ids)
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate stance ids: {list(ids)}")
-        object.__setattr__(self, "ids", ids)
         # the memo's own matrix for this k was checked when it was stored
-        if self.conflicts is None or self.conflicts is not _EXCLUSIVE_MATRICES.get(len(ids)):
-            object.__setattr__(self, "conflicts", _checked_conflicts(self.conflicts, len(ids) + 1))
+        if conflicts is None or conflicts is not _EXCLUSIVE_MATRICES.get(len(ids)):
+            conflicts = _checked_conflicts(conflicts, len(ids) + 1)
+        _set(self, "ids", ids)
+        _set(self, "conflicts", conflicts)
 
     @classmethod
     def exclusive(cls, stance_ids: Sequence[str]) -> StanceSpace:
@@ -200,8 +241,7 @@ class StanceSpace:
         return self.conflicts is shared or self.conflicts == shared
 
 
-@dataclass(frozen=True)
-class SubpopulationFilter:
+class SubpopulationFilter(_Value):
     """Named attribute -> allowed values, used to slice a population.
 
     An empty filter is always-true and selects the full population.  The
@@ -210,7 +250,10 @@ class SubpopulationFilter:
     sliced values and results for provenance.
     """
 
-    criteria: tuple[tuple[str, frozenset[str]], ...] = ()
+    __slots__ = __match_args__ = ("criteria",)
+
+    def __init__(self, criteria: tuple[tuple[str, frozenset[str]], ...] = ()) -> None:
+        _set(self, "criteria", criteria)
 
     @classmethod
     def of(cls, **criteria: Iterable[str]) -> SubpopulationFilter:
@@ -220,28 +263,28 @@ class SubpopulationFilter:
         return tuple(attr for attr, _ in self.criteria)
 
 
-@dataclass(frozen=True, slots=True)
-class StanceCounts:
+class StanceCounts(_Value):
     """Per-stance population counts for one topic/population slice.
 
     ``counts[0]`` is the no-stance group; ``counts[i]`` for i >= 1 follow
     ``space.ids`` order.  The population size is the sum of all counts.
     """
 
-    space: StanceSpace
-    counts: tuple[int, ...]
-    filter: SubpopulationFilter | None = None
+    __slots__ = __match_args__ = ("space", "counts", "filter")
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: StanceSpace, counts: Iterable[int],
+                 filter: SubpopulationFilter | None = None) -> None:
         # via a list: tuple(map(...)) can keep the larger block it grew into
-        counts = tuple(list(map(int, self.counts)))
-        if len(counts) != self.space.k + 1:
+        counts = tuple(list(map(int, counts)))
+        if len(counts) != space.k + 1:
             raise ValueError(
-                f"expected {self.space.k + 1} counts (index 0 = no stance), got {len(counts)}"
+                f"expected {space.k + 1} counts (index 0 = no stance), got {len(counts)}"
             )
         if min(counts) < 0:
             raise ValueError(f"counts must be non-negative: {counts}")
-        object.__setattr__(self, "counts", counts)
+        _set(self, "space", space)
+        _set(self, "counts", counts)
+        _set(self, "filter", filter)
 
     @classmethod
     def from_mapping(
@@ -282,8 +325,7 @@ class StanceCounts:
         return StanceCounts(self.space, tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
-@dataclass(frozen=True)
-class AssignmentSet:
+class AssignmentSet(_Value):
     """Per-person sets of held stance indices (the general model).
 
     People may hold several explicit stances at once; holding nothing is
@@ -291,20 +333,18 @@ class AssignmentSet:
     ``attributes`` optionally carries per-person metadata for filtering.
     """
 
-    space: StanceSpace
-    assignments: tuple[frozenset[int], ...]
-    attributes: tuple[Mapping[str, str], ...] | None = None
-    filter: SubpopulationFilter | None = None
-    #: distinct held set -> head count, in order of first appearance
-    _groups: Counter[frozenset[int]] = field(init=False, compare=False, repr=False)
+    __match_args__ = ("space", "assignments", "attributes", "filter")
+    __slots__ = (*__match_args__, "_groups")  # held set -> head count, first seen first
 
-    def __post_init__(self) -> None:
-        k = self.space.k
+    def __init__(self, space: StanceSpace, assignments: Iterable[Iterable[int]],
+                 attributes: tuple[Mapping[str, str], ...] | None = None,
+                 filter: SubpopulationFilter | None = None) -> None:
+        k = space.k
         # each person keeps their own frozenset.  Index types are checked over
         # every person, since equal sets such as {1} and {1.0} are one group
         # below; each distinct set is then checked once, in order of first
         # appearance, so the first bad person raises
-        cleaned = tuple(map(frozenset, self.assignments))
+        cleaned = tuple(map(frozenset, assignments))
         if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(cleaned)))):
             wrong = next(i for i in chain.from_iterable(cleaned) if not isinstance(i, int))
             raise ValueError(f"stance index {wrong!r} is not an int")
@@ -316,10 +356,13 @@ class AssignmentSet:
                 raise ValueError("no explicit stance can be held jointly with no-stance")
             if any(i < 0 or i > k for i in held):
                 raise ValueError(f"stance index out of range in {sorted(held)}")
-        object.__setattr__(self, "assignments", cleaned)
-        object.__setattr__(self, "_groups", groups)
-        if self.attributes is not None and len(self.attributes) != len(cleaned):
+        if attributes is not None and len(attributes) != len(cleaned):
             raise ValueError("attributes must align one-to-one with assignments")
+        _set(self, "space", space)
+        _set(self, "assignments", cleaned)
+        _set(self, "attributes", attributes)
+        _set(self, "filter", filter)
+        _set(self, "_groups", groups)
 
     @classmethod
     def from_stance_ids(
@@ -359,8 +402,7 @@ class AssignmentSet:
         return StanceCounts(self.space, tuple(row), self.filter)
 
 
-@dataclass(frozen=True, slots=True)
-class ContentionResult:
+class ContentionResult(_Value):
     """Raw and normalized contention; the complement scores are properties.
 
     ``k`` is the stance count used for normalization: the declared k of the
@@ -369,14 +411,21 @@ class ContentionResult:
     sampled estimator.
     """
 
-    raw: float
-    normalized: float
-    k: int
-    population: int
-    method: Method
-    samples: int | None = None
-    seed: int | None = None
-    filter: SubpopulationFilter | None = field(default=None, compare=False)
+    __slots__ = __match_args__ = (
+        "raw", "normalized", "k", "population", "method", "samples", "seed", "filter")
+    _compared = __match_args__[:-1]  # the filter is provenance, not a score
+
+    def __init__(self, raw: float, normalized: float, k: int, population: int,
+                 method: Method, samples: int | None = None, seed: int | None = None,
+                 filter: SubpopulationFilter | None = None) -> None:
+        _set(self, "raw", raw)
+        _set(self, "normalized", normalized)
+        _set(self, "k", k)
+        _set(self, "population", population)
+        _set(self, "method", method)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
+        _set(self, "filter", filter)
 
     @property
     def non_contention_raw(self) -> float:

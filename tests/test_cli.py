@@ -173,12 +173,34 @@ class TestPollCommand:
         # each count has as many digits as int() reads; their sum has one more
         limit = sys.get_int_max_str_digits()
         path = write(tmp_path, "poll.csv", f"topic,stance,count\nt,a,{'9' * limit}\nt,b,5\n")
-        code, _, err = run_cli(["poll", path, *flags], capsys)
-        assert code == EX_DATA
+        code, out, err = run_cli(["poll", path, *flags], capsys)
+        assert (code, out) == (EX_DATA, "")
         assert [json.loads(line) for line in err.splitlines()] == [
             {"error": "ResultTooLarge",
              "message": f"a result has more than {limit} digits, too many to write as text"}
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_population_too_long_after_a_writable_topic_writes_nothing(self, tmp_path, flags,
+                                                                       capsys):
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "poll.csv",
+                     f"topic,stance,count\nok,a,1\nok,b,2\nt,a,{'9' * limit}\nt,b,5\n")
+        code, out, err = run_cli(["poll", path, *flags], capsys)
+        assert (code, out) == (EX_DATA, "")
+        assert json.loads(err)["error"] == "ResultTooLarge"
+
+    @pytest.mark.parametrize("command", ["poll", "votes"])
+    def test_population_too_long_to_write_leaves_out_file_unchanged(self, tmp_path, command,
+                                                                    capsys):
+        limit = sys.get_int_max_str_digits()
+        header = "topic,stance,count" if command == "poll" else "region,option,count"
+        path = write(tmp_path, "big.csv", f"{header}\nok,a,1\nt,a,{'9' * limit}\nt,b,5\n")
+        out = write(tmp_path, "out.csv", "kept\n")
+        code, stdout, err = run_cli([command, path, "--out", out], capsys)
+        assert (code, stdout) == (EX_DATA, "")
+        assert json.loads(err)["error"] == "ResultTooLarge"
+        assert Path(out).read_text(encoding="utf-8") == "kept\n"
 
     def test_sampled_estimator_deterministic(self, poll_csv, capsys):
         argv = ["poll", poll_csv, "--samples", "20000", "--seed", "9"]
@@ -581,8 +603,10 @@ def _python(*args):
 
 
 # modules that only some command paths import: numpy (the samplers), and
-# fractions (with decimal), json and datetime (see cli and ingest)
-_DEFERRED = ("numpy", "fractions", "decimal", "json", "datetime")
+# fractions (with decimal), json and datetime (see cli and ingest); and two
+# that no path imports, since the value types are plain slotted classes:
+# dataclasses, and inspect, which it would bring
+_DEFERRED = ("numpy", "fractions", "decimal", "json", "datetime", "dataclasses", "inspect")
 
 # prints the modules that running the given code adds to those the fresh
 # interpreter already holds, so what ``site`` loads does not count

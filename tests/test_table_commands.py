@@ -137,9 +137,10 @@ def test_votes_peak_memory_per_row_in_shuffled_orders(tmp_path):
     gets a space of its own while the file loads; a space holds only its
     ids and its matrix, so the traced peak of ``votes --turnout eligible``
     grows by at most 75 bytes per data row from 250 to 1000 regions of 32
-    shuffled options.  That is about 52 on Python 3.11 and 57 on 3.10, 43
-    and 45 when every region lists its options in one order, and it was
-    about 138 and 207 when a space held one object per stance."""
+    shuffled options.  That is about 50 on Python 3.11 and on 3.10, 38 on
+    both when every region lists its options in one order; it was about 53
+    and 57 while a space kept an instance dict, and about 138 and 207 when
+    a space held one object per stance."""
     out = str(tmp_path / "out.csv")
     rng = random.Random(1)
 
